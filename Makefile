@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke bench-snapshot bench-compare profile ci
+.PHONY: all build test race vet lint bench bench-smoke bench-snapshot bench-compare sweep-identical profile ci
 
 all: build
 
@@ -49,6 +49,12 @@ bench-snapshot:
 # regression.
 bench-compare:
 	scripts/bench_compare.sh
+
+# sweep-identical byte-compares the full `bearbench -run all -quick` sweep of
+# the working tree against revision BASE (built in a temporary git worktree);
+# it takes minutes, so it is not part of ci.
+sweep-identical:
+	scripts/sweep_identical.sh $(BASE)
 
 # profile captures a CPU profile of one full simulation run (default
 # Alloy/mcf; override with DESIGN=/WORKLOAD=) and renders the top-20 hottest

@@ -35,7 +35,9 @@ type ReadResult struct {
 type Hooks struct {
 	// OnEvict fires when a line leaves the DRAM cache; the hierarchy
 	// clears the line's DCP bit (the paper's "conveyed like inclusive
-	// flow, but updates the bit instead of invalidating").
+	// flow, but updates the bit instead of invalidating"). It is nil
+	// unless the system runs DCP, so every design must nil-check it and
+	// skip any per-line eviction work that only feeds it.
 	OnEvict func(line uint64)
 	// OnBackInvalidate fires for inclusive designs when a line leaves the
 	// DRAM cache; the hierarchy must invalidate every on-chip copy and

@@ -120,8 +120,9 @@ func (t *pageTags) Touch(line uint64) {
 }
 
 // evictFrame routes a page eviction: per-line hierarchy hooks for every
-// valid line, composition coherence for the page, and the dirty mask back
-// to the caller so the engine can schedule the partial-page writeback.
+// valid line (only when the system runs DCP and so installs OnEvict),
+// composition coherence for the page, and the dirty mask back to the caller
+// so the engine can schedule the partial-page writeback.
 func (t *pageTags) evictFrame(frame, page uint64) (dirtyMask uint64) {
 	valid, dirty := t.validBits[frame], t.dirtyBits[frame]
 	if t.c.hooks.OnEvict != nil {

@@ -137,12 +137,16 @@ func New(cfg config.System, q *event.Queue, cores int) *Hierarchy {
 // AttachL4 connects the DRAM-cache design.
 func (h *Hierarchy) AttachL4(l4 dramcache.Cache) { h.l4 = l4 }
 
-// Hooks returns the dramcache upcalls bound to this hierarchy.
+// Hooks returns the dramcache upcalls bound to this hierarchy. OnEvict is
+// installed only when the system runs DCP: the presence bits it clears are
+// read by nothing else, and page-grained designs would otherwise pay one
+// 17-cache sweep per evicted line.
 func (h *Hierarchy) Hooks() dramcache.Hooks {
-	return dramcache.Hooks{
-		OnEvict:          h.onL4Evict,
-		OnBackInvalidate: h.onBackInvalidate,
+	hooks := dramcache.Hooks{OnBackInvalidate: h.onBackInvalidate}
+	if h.cfg.UseDCP {
+		hooks.OnEvict = h.onL4Evict
 	}
+	return hooks
 }
 
 // L3 exposes the shared cache (tests and invariant checks).
@@ -168,6 +172,8 @@ func (h *Hierarchy) CheckPending() error {
 // line's presence bit is cleared (known-absent) at every on-chip level,
 // never invalidated. Keeping the bit in the private levels too means a
 // dirty line that migrates L2 -> L3 retains its presence knowledge.
+// Installed only under UseDCP (see Hooks); without it the aux bytes may
+// hold stale presence, which routeL3Victim never consults.
 func (h *Hierarchy) onL4Evict(line uint64) {
 	h.l3.SetAux(line, auxKnown) // known, not present
 	for i := range h.l1 {

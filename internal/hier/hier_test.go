@@ -50,35 +50,6 @@ func TestEndToEndAlloy(t *testing.T) {
 	}
 }
 
-func TestDCPBitMatchesL4State(t *testing.T) {
-	sim, _ := runSmall(t, config.BEAR, "gcc", 10000, 30000)
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Invariant: every L3 line with a known DCP bit must agree with the
-	// L4's functional state — this is exactly the guarantee that lets
-	// BEAR skip writeback probes without losing correctness.
-	l4 := sim.Bundle.Cache
-	checked, violations := 0, 0
-	sim.Hier.L3().Range(func(ln sram.Line) bool {
-		if ln.Aux&auxKnown == 0 {
-			return true
-		}
-		checked++
-		present := ln.Aux&auxPresent != 0
-		if present != l4.Contains(ln.Addr) {
-			violations++
-		}
-		return true
-	})
-	if checked == 0 {
-		t.Fatal("no L3 lines carried DCP state")
-	}
-	if violations != 0 {
-		t.Fatalf("DCP bit wrong for %d/%d lines", violations, checked)
-	}
-}
-
 func TestInclusionInvariant(t *testing.T) {
 	sim, _ := runSmall(t, config.InclAlloy, "wrf", 10000, 30000)
 	if _, err := sim.Run(); err != nil {

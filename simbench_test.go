@@ -101,8 +101,11 @@ func BenchmarkSimSC(b *testing.B) { benchSim(b, config.Sector) }
 
 // BenchmarkSimBanshee measures the page-grained Banshee design (pageTags
 // with whole-page fills, FBR admission, tag-buffer writeback resolution).
+// Without DCP no eviction hook is installed, so a page eviction no longer
+// fans out into the SRAM levels once per valid line.
 func BenchmarkSimBanshee(b *testing.B) { benchSim(b, config.Banshee) }
 
 // BenchmarkSimTicToc measures the page-grained TicToc design (demand-line
-// fills into page frames, tag-cache-resolved tag checks).
+// fills into page frames, tag-cache-resolved tag checks). As for Banshee,
+// page evictions do not fan out into the SRAM levels.
 func BenchmarkSimTicToc(b *testing.B) { benchSim(b, config.TicToc) }
