@@ -25,7 +25,7 @@ import (
 
 	"bear/internal/config"
 	"bear/internal/core"
-	"bear/internal/hier"
+	"bear/internal/exp"
 	"bear/internal/stats"
 	"bear/internal/trace"
 )
@@ -90,7 +90,10 @@ const (
 )
 
 // Config controls a simulation. The zero value is not valid; start from
-// DefaultConfig.
+// DefaultConfig. Every simulation runs as one unit on the experiment
+// Runner (internal/exp): the Config splits into the Runner's parameters
+// and a unit spec, the same pair the bearbench, bearsim and bearserve
+// drivers build.
 type Config struct {
 	// Scale divides the paper's 1 GB cache, 8 MB L3 and all workload
 	// footprints by this factor, preserving every capacity ratio so hit
@@ -100,13 +103,14 @@ type Config struct {
 
 	Design Design
 
-	// Bypass policy for Alloy-family designs; ignored for BEAR (which uses
-	// BandwidthAware) and non-Alloy designs.
+	// Bypass policy for Alloy-family designs (Alloy, InclAlloy); BEAR uses
+	// BandwidthAware by construction. Any other design given a policy
+	// other than FillAlways fails with an error rather than ignoring it.
 	Bypass     BypassPolicy
 	BypassProb float64
 	// UseDCP / UseNTC enable individual BEAR components on an Alloy
 	// baseline (for the component-by-component Figures 7/9/11); BEAR sets
-	// both.
+	// both. Like Bypass, they are rejected on non-Alloy designs.
 	UseDCP bool
 	UseNTC bool
 
@@ -120,8 +124,7 @@ type Config struct {
 	WarmInstr uint64
 	MeasInstr uint64
 
-	Cores int
-	Seed  uint64
+	Seed uint64
 
 	// Check enables the simulation watchdog's invariant mode: cheap
 	// engine checks (transaction accounting, DRAM queue occupancy, MSHR
@@ -142,38 +145,35 @@ func DefaultConfig() Config {
 		BypassProb: 0.9,
 		WarmInstr:  1_000_000,
 		MeasInstr:  2_000_000,
-		Cores:      8,
 		Seed:       1,
 	}
 }
 
-// internal converts the public Config to the internal system description.
-func (c Config) internal() config.System {
-	sys := config.Default(c.Scale)
-	sys = sys.WithDesign(designToInternal[c.Design])
-	if c.Design == Alloy || c.Design == InclAlloy {
-		sys.Bypass = config.BypassPolicy(c.Bypass)
-		sys.UseDCP = c.UseDCP
-		sys.UseNTC = c.UseNTC
+// run simulates workload wl (in the Runner's naming: a benchmark,
+// "MIX<n>" or "<b>@single") as one unit on a serial, store-less Runner.
+// A loaded workload, when given, replaces the named one.
+func (c Config) run(wl string, loaded *trace.Workload) (*Result, error) {
+	p := exp.Params{Scale: c.Scale, Warm: c.WarmInstr, Meas: c.MeasInstr, Seed: c.Seed}
+	p.Watchdog.Check = c.Check
+	r := exp.NewRunner(p)
+	r.Parallel = 1
+	u := exp.UnitSpec{
+		Design: c.Design.String(), Workload: wl,
+		Bypass: config.BypassPolicy(c.Bypass), BypassProb: c.BypassProb,
+		DCP: c.UseDCP, NTC: c.UseNTC,
+		L4Channels: c.L4Channels, L4Banks: c.L4Banks, CapacityMB: c.CapacityMB,
 	}
-	sys.BypassProb = c.BypassProb
-	if sys.BypassProb == 0 {
-		sys.BypassProb = 0.9
+	var run *stats.Run
+	var err error
+	if loaded != nil {
+		run, err = r.RunWorkload(u, *loaded)
+	} else {
+		run, err = r.RunUnit(u)
 	}
-	if c.L4Channels > 0 {
-		sys.L4.Channels = c.L4Channels
+	if err != nil {
+		return nil, err
 	}
-	if c.L4Banks > 0 {
-		sys.L4.Banks = c.L4Banks
-	}
-	if c.CapacityMB > 0 {
-		sys.CacheBytes = c.CapacityMB << 20 / int64(c.Scale)
-	}
-	if c.Cores > 0 {
-		sys.Core.Count = c.Cores
-	}
-	sys.Seed = c.Seed
-	return sys
+	return ResultFrom(run), nil
 }
 
 // Breakdown is the per-category Bloat-Factor decomposition (Figure 13).
@@ -227,7 +227,10 @@ type Result struct {
 	MemReadBytes, MemWriteBytes uint64
 }
 
-func resultFrom(r *stats.Run) *Result {
+// ResultFrom renders a simulation's raw statistics as a Result. It is the
+// one conversion from the simulator's stats to the public result, shared
+// with the in-module commands that run units on their own Runner.
+func ResultFrom(r *stats.Run) *Result {
 	l4 := &r.L4
 	res := &Result{
 		Design:       r.Design,
@@ -276,36 +279,15 @@ func Benchmarks() []string { return trace.RateNames() }
 // MixCount is the number of mixed workloads the paper evaluates.
 const MixCount = 38
 
-func (c Config) run(wl trace.Workload) (*Result, error) {
-	sim, err := hier.NewSim(c.internal(), wl, c.WarmInstr, c.MeasInstr)
-	if err != nil {
-		return nil, err
-	}
-	sim.Watchdog.Check = c.Check
-	r, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return resultFrom(r), nil
-}
-
 // RunRate simulates the rate-mode workload of the named benchmark (all
 // cores run copies in disjoint address regions).
 func RunRate(cfg Config, benchmark string) (*Result, error) {
-	wl, err := trace.Rate(benchmark, cfg.Cores, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.run(wl)
+	return cfg.run(benchmark, nil)
 }
 
 // RunMix simulates mixed workload n in [1, MixCount]; 1..8 follow Table 3.
 func RunMix(cfg Config, n int) (*Result, error) {
-	wl, err := trace.Mix(n, cfg.Cores, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.run(wl)
+	return cfg.run(fmt.Sprintf("MIX%d", n), nil)
 }
 
 // MixComposition returns the benchmark running on each core of mixed
@@ -325,11 +307,7 @@ func MixComposition(n, cores int) []string {
 // RunSingle simulates the named benchmark alone on one core (used for the
 // weighted-speedup denominators of Equation 2).
 func RunSingle(cfg Config, benchmark string) (*Result, error) {
-	wl, err := trace.Single(benchmark, cfg.Cores, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.run(wl)
+	return cfg.run(benchmark+"@single", nil)
 }
 
 // RunTraceFiles simulates a workload replayed from recorded trace files
@@ -340,7 +318,7 @@ func RunTraceFiles(cfg Config, name string, paths []string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cfg.run(wl)
+	return cfg.run(name, &wl)
 }
 
 // Speedup returns baseline.Cycles / r.Cycles: the rate-mode normalised

@@ -1,10 +1,12 @@
 package bear_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"bear"
+	"bear/internal/exp"
 )
 
 // quickCfg returns a configuration small enough for unit testing.
@@ -39,6 +41,33 @@ func TestRunRate(t *testing.T) {
 func TestRunRateUnknown(t *testing.T) {
 	if _, err := bear.RunRate(quickCfg(bear.Alloy), "nope"); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestOverrideRejected: BEAR's components are Alloy-family overrides; on
+// BW-Opt the DCP bit has nothing to act on, so the run fails rather than
+// returning the plain BW-Opt numbers.
+func TestOverrideRejected(t *testing.T) {
+	cfg := quickCfg(bear.BWOpt)
+	cfg.UseDCP = true
+	_, err := bear.RunRate(cfg, "mcf")
+	var oe *exp.OverrideError
+	if !errors.As(err, &oe) {
+		t.Fatalf("BW-Opt with UseDCP: err = %v, want *exp.OverrideError", err)
+	}
+}
+
+// TestPanicIsolated: a configuration the engine cannot build (a 1 MB
+// cache at 1/1024 scale has no Alloy sets) fails as a classified
+// simulation error instead of panicking out of the library.
+func TestPanicIsolated(t *testing.T) {
+	cfg := quickCfg(bear.Alloy)
+	cfg.Scale = 1024
+	cfg.CapacityMB = 1
+	_, err := bear.RunRate(cfg, "mcf")
+	var se *exp.SimError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *exp.SimError", err)
 	}
 }
 

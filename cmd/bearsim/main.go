@@ -1,12 +1,13 @@
 // Command bearsim runs DRAM-cache simulations and prints their statistics.
 //
 // -workload and -design accept comma-separated lists; bearsim simulates the
-// full cross product, fanning out across -parallel workers (default
-// GOMAXPROCS) and printing results in a deterministic order regardless of
-// which finishes first. A unit that fails (including by panic) does not
-// stop the sweep: the remaining units run, the failures are summarised on
-// stderr, and the exit code is non-zero. -check enables the engine
-// invariant watchdog (identical results, unsound runs fail loudly).
+// full cross product as units on the experiment Runner (internal/exp),
+// fanning out across -parallel workers (default GOMAXPROCS) and printing
+// results in a deterministic order regardless of which finishes first. A
+// unit that fails (including by panic) does not stop the sweep: the
+// remaining units run, the failures are summarised on stderr, and the exit
+// code is non-zero. -check enables the engine invariant watchdog
+// (identical results, unsound runs fail loudly).
 //
 // Usage:
 //
@@ -14,12 +15,13 @@
 //	bearsim -workload MIX3 -design Alloy
 //	bearsim -workload mcf,lbm,libq -design Alloy,BEAR -parallel 8
 //
-// -resume DIR keeps an on-disk result store (checksummed, atomically
-// written); completed units are restored instead of re-simulated on the
-// next run. SIGINT/SIGTERM interrupt a sweep cleanly: in-flight units
-// finish and (with -resume) persist, queued units never start, completed
-// results print, and the exit code is 3 — "interrupted but checkpointed"
-// — so re-running the same command resumes where the sweep stopped.
+// -resume DIR keeps the Runner's on-disk result store (the one bearbench
+// and bearserve use: checksummed, atomically written); completed units are
+// restored instead of re-simulated on the next run. SIGINT/SIGTERM
+// interrupt a sweep cleanly: in-flight units finish and (with -resume)
+// persist, queued units never start, completed results print, and the exit
+// code is 3 — "interrupted but checkpointed" — so re-running the same
+// command resumes where the sweep stopped.
 package main
 
 import (
@@ -30,27 +32,19 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"bear"
+	"bear/internal/exp"
+	"bear/internal/trace"
 )
 
 // exitInterrupted distinguishes an operator interrupt with checkpointed
 // progress from a failed sweep (1) or a usage error (2).
 const exitInterrupted = 3
-
-var designByName = map[string]bear.Design{
-	"nol4": bear.NoL4, "alloy": bear.Alloy, "bear": bear.BEAR,
-	"bwopt": bear.BWOpt, "bw-opt": bear.BWOpt, "lh": bear.LohHill,
-	"lohhill": bear.LohHill, "mc": bear.MostlyClean, "incl-alloy": bear.InclAlloy,
-	"incl": bear.InclAlloy, "tis": bear.TagsInSRAM, "sc": bear.SectorCache,
-	"banshee": bear.Banshee, "tictoc": bear.TicToc,
-}
 
 func main() {
 	var (
@@ -97,155 +91,95 @@ func main() {
 		}()
 	}
 
-	cfg := bear.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.WarmInstr = *warm
-	cfg.MeasInstr = *meas
-	cfg.Seed = *seed
-	cfg.L4Channels = *channels
-	cfg.L4Banks = *banks
-	cfg.CapacityMB = *capMB
-	cfg.Check = *check
+	p := exp.Params{Scale: *scale, Warm: *warm, Meas: *meas, Seed: *seed}
+	p.Watchdog.Check = *check
+	runner := exp.NewRunner(p)
+	runner.Parallel = *parallel
+	unit := func(design, workload string) exp.UnitSpec {
+		return exp.UnitSpec{Design: design, Workload: workload,
+			L4Channels: *channels, L4Banks: *banks, CapacityMB: *capMB}
+	}
 
 	if *traces != "" {
+		u := unit(*design, *traces)
 		paths, err := filepath.Glob(*traces)
-		var res *bear.Result
 		if err == nil {
-			d, derr := oneDesign(*design)
-			if derr != nil {
-				fail(derr)
-			}
-			cfg.Design = d
-			res, err = bear.RunTraceFiles(cfg, *traces, paths)
+			err = u.Validate()
 		}
 		if err != nil {
 			fail(err)
 		}
-		emit([]*bear.Result{res}, *asJSON)
+		wl, err := trace.FromFiles(*traces, paths)
+		if err != nil {
+			fail(err)
+		}
+		res, err := runner.RunWorkload(u, wl)
+		if err != nil {
+			fail(err)
+		}
+		emit([]*bear.Result{bear.ResultFrom(res)}, *asJSON)
 		return
 	}
 
-	// The sweep: every workload under every design, executed by a bounded
-	// worker pool. Each simulation is independent and deterministic, so
-	// results land in their preassigned slots and printing order never
-	// depends on completion order.
-	type job struct {
-		cfg      bear.Config
-		workload string
-	}
-	var jobs []job
-	for _, d := range strings.Split(*design, ",") {
-		dv, err := oneDesign(d)
-		if err != nil {
-			fail(err)
-		}
-		c := cfg
-		c.Design = dv
-		for _, w := range strings.Split(*workload, ",") {
-			w = strings.TrimSpace(w)
-			if w == "" {
-				continue
-			}
-			jobs = append(jobs, job{cfg: c, workload: w})
-		}
-	}
-	if len(jobs) == 0 {
-		fail(fmt.Errorf("no workloads given"))
-	}
-
-	var store *resultStore
 	if *resume != "" {
-		st, err := openResultStore(*resume)
+		store, err := exp.OpenStore(*resume, p.Fingerprint(exp.BuildFingerprint()))
 		if err != nil {
 			fail(err)
 		}
-		store = st
+		runner.Store = store
 	}
 
-	// Interrupt handling: the first SIGINT/SIGTERM drains the sweep —
+	// Interrupt handling: the first SIGINT/SIGTERM drains the Runner —
 	// units already running finish (and persist to -resume), units still
 	// queued never start — and the run exits with code 3.
-	var interrupted atomic.Bool
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "bearsim: interrupted — finishing in-flight units, checkpointing completed ones")
-		interrupted.Store(true)
+		runner.Interrupt()
 	}()
 
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
+	// The sweep: every workload under every design, started up front on
+	// the Runner's worker pool (a repeated unit joins the first) and
+	// collected in sweep order, so printing order never depends on
+	// completion order.
+	var futures []exp.Future
+	for _, d := range strings.Split(*design, ",") {
+		for _, w := range strings.Split(*workload, ",") {
+			w = strings.TrimSpace(w)
+			if w == "" {
+				continue
+			}
+			if n, isMix := mixIndex(w); isMix {
+				w = "MIX" + strconv.Itoa(n)
+			}
+			f, err := runner.UnitAsync(unit(d, w))
+			if err != nil {
+				fail(err)
+			}
+			futures = append(futures, f)
+		}
 	}
-	results := make([]*bear.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	skipped := make([]bool, len(jobs))
-	sem := make(chan struct{}, workers)
-	done := make(chan int, len(jobs))
-	for i, j := range jobs {
-		i, j := i, j
-		go func() {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if interrupted.Load() {
-				skipped[i] = true
-				done <- i
-				return
-			}
-			// Fault isolation: a panic in one unit fails that unit, not
-			// the sweep. The remaining units still run and print.
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
-				}
-				done <- i
-			}()
-			key := unitKey(j.cfg, j.workload)
-			if store != nil {
-				if res, ok := store.load(key); ok {
-					results[i] = res
-					return
-				}
-			}
-			if n, isMix := mixIndex(j.workload); isMix {
-				results[i], errs[i] = bear.RunMix(j.cfg, n)
-			} else {
-				results[i], errs[i] = bear.RunRate(j.cfg, j.workload)
-			}
-			if store != nil && errs[i] == nil {
-				store.save(key, results[i])
-			}
-		}()
-	}
-	for range jobs {
-		<-done
+	if len(futures) == 0 {
+		fail(fmt.Errorf("no workloads given"))
 	}
 
 	// Print the units that succeeded (in sweep order), then summarise the
 	// failures. The exit code reports sweep health: 0 only when every unit
 	// completed, 3 when an interrupt left the sweep checkpointed.
 	var completed []*bear.Result
-	failed := 0
-	for i := range jobs {
-		if skipped[i] || errs[i] != nil {
-			if errs[i] != nil {
-				failed++
-			}
-			continue
+	for _, f := range futures {
+		if res, err := f.Wait(); err == nil {
+			completed = append(completed, bear.ResultFrom(res))
 		}
-		completed = append(completed, results[i])
 	}
 	emit(completed, *asJSON)
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "\nbearsim: %d of %d units failed:\n", failed, len(jobs))
-		for i, j := range jobs {
-			if errs[i] != nil {
-				fmt.Fprintf(os.Stderr, "  FAIL %-10s %-10s %v\n", j.cfg.Design, j.workload, errs[i])
-			}
-		}
+	if n := runner.Restored(); n > 0 {
+		fmt.Fprintf(os.Stderr, "bearsim: %d result(s) restored from %s\n", n, *resume)
 	}
-	if interrupted.Load() {
+	runner.WriteFailureTable(os.Stderr)
+	if runner.Interrupted() {
 		where := *resume
 		if where == "" {
 			where = "nowhere (-resume not set; completed units were not persisted)"
@@ -253,17 +187,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bearsim: interrupted; completed units checkpointed to %s — re-run the same command to resume\n", where)
 		os.Exit(exitInterrupted)
 	}
-	if failed > 0 {
+	if len(runner.Failures()) > 0 {
 		os.Exit(1)
 	}
-}
-
-func oneDesign(name string) (bear.Design, error) {
-	d, ok := designByName[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return 0, fmt.Errorf("unknown design %q", name)
-	}
-	return d, nil
 }
 
 func fail(err error) {

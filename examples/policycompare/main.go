@@ -50,7 +50,7 @@ func main() {
 		// the benchmark's rate-mode per-core IPC on the same design.
 		singles := make([]float64, len(r.CoreIPC))
 		seen := map[string]float64{}
-		wlBenchNames := bear.MixComposition(*mix, cfg.Cores)
+		wlBenchNames := bear.MixComposition(*mix, len(r.CoreIPC))
 		for i, name := range wlBenchNames {
 			if ipc, ok := seen[name]; ok {
 				singles[i] = ipc

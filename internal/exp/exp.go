@@ -300,7 +300,16 @@ func (r *Runner) start(s spec, wlName string, mk func() (trace.Workload, error))
 	go func() {
 		sem <- struct{}{}
 		defer func() { <-sem }()
-		t.res, t.err = r.runUnit(key, s, wlName, mk)
+		if r.Interrupted() {
+			// Queued when the interrupt came: it never starts, and the
+			// refusal is not memoised either.
+			r.mu.Lock()
+			delete(r.memo, key)
+			r.mu.Unlock()
+			t.err = ErrInterrupted
+		} else {
+			t.res, t.err = r.runUnit(key, s, wlName, mk)
+		}
 		close(t.done)
 	}()
 	return t

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 
 	"bear/internal/faultpoint"
@@ -56,6 +57,34 @@ func OpenStore(dir, fingerprint string) (*Store, error) {
 		return nil, fmt.Errorf("exp: opening result store: %w", err)
 	}
 	return &Store{dir: dir, fingerprint: fingerprint}, nil
+}
+
+// BuildFingerprint identifies the simulator build, the caller context
+// every command passes to Params.Fingerprint: results cached by a
+// different code version must not be trusted, and bearserve's worker
+// handshake refuses a bearbench built from another tree. Binaries built
+// inside the git checkout carry the VCS revision; anything else (e.g. `go
+// run` of a modified tree without VCS stamping) degrades to a shared "dev"
+// fingerprint.
+func BuildFingerprint() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, modified string
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+		if rev != "" {
+			if modified == "true" {
+				return rev + "+dirty"
+			}
+			return rev
+		}
+	}
+	return "dev"
 }
 
 // path maps a unit key to its entry file. Keys are hashed so file names

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"bear/internal/config"
 	"bear/internal/faultpoint"
 	"bear/internal/stats"
 )
@@ -219,13 +221,29 @@ func TestStoreIngest(t *testing.T) {
 
 // TestUnitSpecKeysMatchRunner pins the interoperability contract: the key
 // a UnitSpec computes is the key the Runner's own store writes, so a
-// bearserve-populated store resumes a bearbench sweep.
+// bearserve-populated store resumes a bearbench (or bearsim) sweep. Every
+// design alias resolves, and a unit without overrides keeps the exact key
+// stores written before overrides existed hold.
 func TestUnitSpecKeysMatchRunner(t *testing.T) {
-	for _, u := range []UnitSpec{
-		{Design: "Alloy", Workload: "soplex"},
-		{Design: "bear", Workload: "MIX3"},
-		{Design: "BEAR", Workload: "soplex@single"},
+	const alloyKey = "{design:1 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|soplex"
+	for _, tc := range []struct {
+		u          UnitSpec
+		design     config.Design
+		overridden bool   // the key must differ from the plain design's
+		key        string // pinned store key; empty = not pinned
+	}{
+		{UnitSpec{Design: "Alloy", Workload: "soplex"}, config.Alloy, false, alloyKey},
+		{UnitSpec{Design: "Alloy", Workload: "soplex", BypassProb: 0.9}, config.Alloy, false, alloyKey},
+		{UnitSpec{Design: "bear", Workload: "MIX3"}, config.BEAR, false, ""},
+		{UnitSpec{Design: "BEAR", Workload: "soplex@single"}, config.BEAR, false, ""},
+		{UnitSpec{Design: "bwopt", Workload: "mcf"}, config.BWOpt, false, ""},
+		{UnitSpec{Design: "BWOpt", Workload: "mcf"}, config.BWOpt, false, ""},
+		{UnitSpec{Design: "lohhill", Workload: "mcf"}, config.LohHill, false, ""},
+		{UnitSpec{Design: "incl", Workload: "mcf"}, config.InclAlloy, false, ""},
+		{UnitSpec{Design: "Alloy", Workload: "mcf", Bypass: config.BandwidthAware, DCP: true}, config.Alloy, true, ""},
+		{UnitSpec{Design: "SC", Workload: "mcf", L4Channels: 2, CapacityMB: 512}, config.Sector, true, ""},
 	} {
+		u := tc.u
 		key, err := u.Key()
 		if err != nil {
 			t.Fatalf("%s: %v", u, err)
@@ -234,15 +252,66 @@ func TestUnitSpecKeysMatchRunner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if s.design != tc.design {
+			t.Errorf("%s resolved to %s, want %s", u, s.design, tc.design)
+		}
 		if want := storeKey(memoKey{s: s, wl: u.Workload}); key != want {
 			t.Errorf("%s: Key=%q, runner uses %q", u, key, want)
 		}
+		if tc.key != "" && key != tc.key {
+			t.Errorf("%s: Key=%q, want the pinned %q", u, key, tc.key)
+		}
+		if plain := storeKey(memoKey{s: baseSpec(tc.design), wl: u.Workload}); (key != plain) != tc.overridden {
+			t.Errorf("%s: Key=%q against the plain design's %q, want overridden=%v", u, key, plain, tc.overridden)
+		}
+	}
+	for alias := range unitDesigns {
+		if err := (UnitSpec{Design: alias, Workload: "mcf"}).Validate(); err != nil {
+			t.Errorf("alias %q: %v", alias, err)
+		}
+	}
+	if names := UnitDesignNames(); len(names) != 11 {
+		t.Errorf("UnitDesignNames() = %v, want the 11 designs once each", names)
 	}
 	if _, err := (UnitSpec{Design: "nope", Workload: "x"}).Key(); err == nil {
 		t.Error("unknown design accepted")
 	}
 	if err := (UnitSpec{Design: "Alloy"}).Validate(); err == nil {
 		t.Error("empty workload accepted")
+	}
+	var oe *OverrideError
+	for _, u := range []UnitSpec{
+		{Design: "BW-Opt", Workload: "mcf", DCP: true},
+		{Design: "BEAR", Workload: "mcf", Bypass: config.ProbBypass},
+		{Design: "Banshee", Workload: "mcf", NTC: true},
+	} {
+		if err := u.Validate(); !errors.As(err, &oe) {
+			t.Errorf("%s with an Alloy-only override: err = %v, want *OverrideError", u, err)
+		}
+	}
+}
+
+// TestInterruptRefusesQueuedUnits: a unit already requested but still
+// waiting for a worker slot when Interrupt comes never starts; it fails
+// with ErrInterrupted, and the refusal is not memoised.
+func TestInterruptRefusesQueuedUnits(t *testing.T) {
+	r := NewRunner(tinyParams())
+	r.sem = make(chan struct{}, 1)
+	r.sem <- struct{}{} // the only slot is busy
+	f := r.RateAsync(specAlloy, "soplex")
+	r.Interrupt()
+	<-r.sem
+	if _, err := f.Wait(); err != ErrInterrupted {
+		t.Fatalf("queued unit error = %v, want ErrInterrupted", err)
+	}
+	if r.Count() != 0 || len(r.Failures()) != 0 {
+		t.Fatalf("queued unit ran or failed: Count=%d Failures=%v", r.Count(), r.Failures())
+	}
+	r.mu.Lock()
+	n := len(r.memo)
+	r.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("refusal memoised (%d memo entries)", n)
 	}
 }
 

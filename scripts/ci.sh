@@ -70,6 +70,17 @@ go run ./cmd/bearbench $resume_args 2>"$err2" | grep -v '^\[' >"$run2"
 cmp "$run1" "$run2"
 grep -q 'result(s) restored' "$err2"
 
+# The same round trip through bearsim, which runs its units on the same
+# Runner and keeps them in the same kind of store: the second run restores
+# every unit and prints byte-identical results.
+sstore=$(mktemp -d)
+trap 'rm -rf "$store" "$sstore" "$run1" "$run2" "$err2"' EXIT
+resume_args="-workload mcf,MIX1 -design Alloy,BEAR -scale 1024 -warm 20000 -meas 50000 -resume $sstore"
+go run ./cmd/bearsim $resume_args >"$run1"
+go run ./cmd/bearsim $resume_args >"$run2" 2>"$err2"
+cmp "$run1" "$run2"
+grep -q 'result(s) restored' "$err2"
+
 # chaos smoke: the bearserve supervision tree survives a worker killed
 # mid-unit. A fault plan deterministically hangs the worker inside its one
 # unit (so "mid-unit" is a fact, not a race), kill -9 takes the worker
@@ -84,7 +95,7 @@ cstore=$(mktemp -d)
 fstore=$(mktemp -d)
 dstore=$(mktemp -d)
 srv=
-trap 'kill "$srv" 2>/dev/null || true; rm -rf "$store" "$run1" "$run2" "$err2" "$bindir" "$cstore" "$fstore" "$dstore"' EXIT
+trap 'kill "$srv" 2>/dev/null || true; rm -rf "$store" "$sstore" "$run1" "$run2" "$err2" "$bindir" "$cstore" "$fstore" "$dstore"' EXIT
 go build -buildvcs=false -o "$bindir" ./cmd/bearbench ./cmd/bearserve
 addr=127.0.0.1:18431
 unit='{"units":[{"design":"Alloy","workload":"soplex"}]}'
