@@ -367,8 +367,11 @@ func (c *Core) run(now uint64) {
 		// Stall checks. A full MSHR file or exhausted window blocks issue
 		// until the relevant load completes (MSHRs free on completion
 		// regardless of order: async frees in the callback, sync frees as
-		// core time passes the completion time recorded in syncDone).
-		c.inflight -= c.syncDone.drainLE(c.time)
+		// core time passes the completion time recorded in syncDone). The
+		// guard keeps the out-of-line drain off the common nothing-due path.
+		if len(c.syncDone.h) > 0 && c.syncDone.h[0] <= c.time {
+			c.inflight -= c.syncDone.drainLE(c.time)
+		}
 		if c.inflight >= c.cfg.MSHRs {
 			c.waitForLoads(true)
 			return

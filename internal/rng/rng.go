@@ -23,6 +23,8 @@
 //     rule; see ARCHITECTURE.md "Enforced invariants").
 package rng
 
+import "math/bits"
+
 // Source is an xorshift64* generator. The zero value is not valid; use New.
 type Source struct {
 	state uint64
@@ -54,7 +56,7 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 	// Multiply-shift reduction; bias is negligible for simulation purposes
 	// and the method is branch-free and fast.
-	hi, _ := mul64(s.Uint64(), n)
+	hi, _ := bits.Mul64(s.Uint64(), n)
 	return hi
 }
 
@@ -77,17 +79,4 @@ func (s *Source) Bool(p float64) bool {
 // child's stream does not overlap the parent's for any practical length.
 func (s *Source) Fork() *Source {
 	return New(s.Uint64() ^ 0xd1342543de82ef95)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -128,18 +129,20 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
+// TestMul64 pins Uint64n's multiply-shift reduction: the result is the high
+// word of the 128-bit product of the next draw and n, checked against
+// math/big for edge-case bounds over many draws.
 func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{^uint64(0), ^uint64(0), ^uint64(0) - 1, 1},
-		{^uint64(0), 2, 1, ^uint64(0) - 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
+	bounds := []uint64{1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
+	for _, n := range bounds {
+		s, ref := New(7), New(7)
+		for i := 0; i < 100; i++ {
+			u := ref.Uint64()
+			want := new(big.Int).Mul(new(big.Int).SetUint64(u), new(big.Int).SetUint64(n))
+			want.Rsh(want, 64)
+			if got := s.Uint64n(n); got != want.Uint64() {
+				t.Fatalf("Uint64n(%#x) after draw %#x = %#x, want %#x", n, u, got, want.Uint64())
+			}
 		}
 	}
 }

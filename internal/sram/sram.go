@@ -11,16 +11,20 @@
 // that can never match a real line address, so the match loop tests one
 // word per way and touches meta/aux/lru only on the way it selects.
 //
-// On top of the layout, a hint table keyed by the address's low set bits
-// records the slab index that last hit or filled there. Accesses check the
-// hinted tag word before the sweep, so the common repeat-hit case (an L1
-// hit streaming over the same few lines) touches exactly one tag word, and
-// the probe is small enough to inline into every access path. The hint is
-// purely an accelerator: it is verified by tag comparison before use — a
-// line address can only ever match in the one set it maps to, so a hint
-// aliased by another set (non-power-of-two geometries share low-bit keys)
-// or gone stale merely falls through to the full sweep. It can never
-// change which way an operation selects.
+// On top of the layout, a hint table keyed by the line address's low bits
+// records the slab index that last hit or filled there. The table has one
+// slot per line (the largest power of two ≤ sets×ways, capped at
+// 2^16 slots but never fewer than one per set), so its key covers the set
+// bits and the low tag bits above them: lines sharing a set mostly get
+// slots of their own, and an L1 cycling over a few dozen recent lines
+// finds each one through its hint rather than a sweep. Accesses check the
+// hinted tag word before the sweep, so a hinted hit touches exactly one
+// tag word, and the probe is small enough to inline into every access
+// path. The hint is purely an accelerator: it is verified by tag
+// comparison before use — a line address can only ever match in the one
+// set it maps to, so a hint aliased by another line or set or gone stale
+// merely falls through to the full sweep. It can never change which way
+// an operation selects.
 //
 // The same structure also backs the Tags-In-SRAM and Sector-Cache tag
 // stores and the Loh-Hill MissMap in internal/dramcache.
@@ -73,7 +77,7 @@ type Cache struct {
 	aux      []uint8  // caller-owned auxiliary byte
 	lru      []uint32 // per-line recency stamps
 	hint     []uint32 // slab index of the last hit or fill, keyed by addr&hintMask
-	hintMask uint64   // low set bits: sets-1 rounded down to a power of two, minus aliasing
+	hintMask uint64   // len(hint)-1; see hintSlots
 	clock    uint32
 }
 
@@ -95,12 +99,26 @@ func New(sets uint64, ways int) *Cache {
 		aux:     make([]uint8, n),
 		lru:     make([]uint32, n),
 	}
-	c.hintMask = 1<<(bits.Len64(sets)-1) - 1
-	c.hint = make([]uint32, c.hintMask+1)
+	c.hint = make([]uint32, hintSlots(sets, n))
+	c.hintMask = uint64(len(c.hint) - 1)
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
 	}
 	return c
+}
+
+// maxHintSlots caps the hint table so the largest tag stores (full-scale
+// Tags-In-SRAM and MissMap) do not grow by a quarter; private caches at
+// simulation scale sit far below it.
+const maxHintSlots = 1 << 16
+
+// hintSlots sizes the hint table of a cache with the given set and line
+// counts: the largest power of two ≤ lines, capped at maxHintSlots but never
+// below one slot per set (the largest power of two ≤ sets).
+func hintSlots(sets, lines uint64) uint64 {
+	n := uint64(1) << (bits.Len64(lines) - 1)
+	perSet := uint64(1) << (bits.Len64(sets) - 1)
+	return max(min(n, maxHintSlots), perSet)
 }
 
 // Sets returns the number of sets.

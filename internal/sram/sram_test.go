@@ -246,58 +246,122 @@ func TestRescaleWraparound(t *testing.T) {
 	}
 }
 
-// Model-based property test: the cache agrees with a reference map +
-// recency list under random operations.
+// Model-based property test: the cache agrees with a reference model — per
+// set, a recency list plus each line's dirty bit and aux byte — under random
+// demand accesses, fills, FillIfAbsent, FillOrDirty, Invalidate, SetAux and
+// Lookup. No operation probes first, so each one reaches the hint with
+// whatever earlier operations left there (stale, aliased or trained), and
+// both geometries alias lines onto shared hint slots.
 func TestModelEquivalence(t *testing.T) {
+	type state struct {
+		dirty bool
+		aux   uint8
+	}
 	type modelSet struct {
 		order []uint64 // LRU order, front = LRU
 	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(func(ops []uint16, seed uint8) bool {
-		const sets, ways = 4, 3
-		c := New(sets, ways)
-		model := make([]modelSet, sets)
+	for _, g := range []struct {
+		sets  uint64
+		ways  int
+		space uint64
+	}{
+		{4, 3, 64},
+		{8, 8, 256},
+	} {
+		cfg := &quick.Config{MaxCount: 200}
+		if err := quick.Check(func(ops []uint16) bool {
+			c := New(g.sets, g.ways)
+			model := make([]modelSet, g.sets)
+			lines := map[uint64]state{}
 
-		touch := func(m *modelSet, addr uint64) {
-			for i, a := range m.order {
-				if a == addr {
-					m.order = append(append(m.order[:i], m.order[i+1:]...), addr)
-					return
+			remove := func(m *modelSet, addr uint64) {
+				for i, a := range m.order {
+					if a == addr {
+						m.order = append(m.order[:i], m.order[i+1:]...)
+						return
+					}
 				}
 			}
-		}
-		for _, op := range ops {
-			addr := uint64(op % 64)
-			m := &model[addr%sets]
-			present := false
-			for _, a := range m.order {
-				if a == addr {
-					present = true
-				}
-			}
-			if _, ok := c.Lookup(addr); ok != present {
-				return false
-			}
-			if present {
-				c.Access(addr, false)
-				touch(m, addr)
-				continue
-			}
-			ev := c.Fill(addr, false, 0)
-			if len(m.order) == ways {
-				want := m.order[0]
-				if !ev.Valid || ev.Addr != want {
+			// fill checks a cache fill's eviction against the model and
+			// installs addr as MRU.
+			fill := func(m *modelSet, addr uint64, ev Eviction, st state) bool {
+				if len(m.order) == g.ways {
+					want := m.order[0]
+					if !ev.Valid || ev.Addr != want || ev.Dirty != lines[want].dirty || ev.Aux != lines[want].aux {
+						return false
+					}
+					m.order = m.order[1:]
+					delete(lines, want)
+				} else if ev.Valid {
 					return false
 				}
-				m.order = m.order[1:]
-			} else if ev.Valid {
-				return false
+				m.order = append(m.order, addr)
+				lines[addr] = st
+				return true
 			}
-			m.order = append(m.order, addr)
+			for _, op := range ops {
+				addr := uint64(op) % g.space
+				aux := uint8(op>>8) & 0xF
+				write := op&0x1000 != 0
+				m := &model[addr%g.sets]
+				st, present := lines[addr]
+				switch op >> 13 {
+				case 3:
+					ev, filled := c.FillIfAbsent(addr, write, aux)
+					if filled == present {
+						return false
+					}
+					if !present && !fill(m, addr, ev, state{write, aux}) {
+						return false
+					}
+				case 4:
+					ev, filled := c.FillOrDirty(addr, aux)
+					if filled == present {
+						return false
+					}
+					if present {
+						lines[addr] = state{true, st.aux}
+					} else if !fill(m, addr, ev, state{true, aux}) {
+						return false
+					}
+				case 5:
+					ln, ok := c.Invalidate(addr)
+					if ok != present || ok && (ln.Addr != addr || ln.Dirty != st.dirty || ln.Aux != st.aux) {
+						return false
+					}
+					remove(m, addr)
+					delete(lines, addr)
+				case 6:
+					if c.SetAux(addr, aux) != present {
+						return false
+					}
+					if present {
+						lines[addr] = state{st.dirty, aux}
+					}
+				case 7:
+					ln, ok := c.Lookup(addr)
+					if ok != present || ok && (ln.Addr != addr || ln.Dirty != st.dirty || ln.Aux != st.aux) {
+						return false
+					}
+				default:
+					if c.Access(addr, write) != present {
+						return false
+					}
+					if present {
+						remove(m, addr)
+						m.order = append(m.order, addr)
+						lines[addr] = state{st.dirty || write, st.aux}
+						continue
+					}
+					if !fill(m, addr, c.Fill(addr, false, aux), state{false, aux}) {
+						return false
+					}
+				}
+			}
+			return c.Count() == len(lines)
+		}, cfg); err != nil {
+			t.Fatalf("%d sets x %d ways: %v", g.sets, g.ways, err)
 		}
-		return true
-	}, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -369,24 +433,27 @@ func TestFillLRUStampCollision(t *testing.T) {
 // TestWayHint pins the way-hint contract: the hint is only an accelerator.
 // A stale hint may cost a full sweep but can never change which way an
 // operation selects or fabricate a hit; Access hits and fills retrain it.
-// (With one set, hint entries — slab indices keyed by the address's low
-// set bits — coincide with way numbers.)
+// (With one set, hint entries — slab indices keyed by the line address's
+// low bits — coincide with way numbers. New(1,4) has four slots, so lines
+// 10 and 30 share slot 2, and 20 and 40 share slot 0.)
 func TestWayHint(t *testing.T) {
 	c := New(1, 4)
+	hint := func(addr uint64) int { return int(c.hint[addr&c.hintMask]) }
 	c.Fill(10, false, 0)
 	c.Fill(20, false, 0)
 	c.Fill(30, false, 0)
-	if got := c.hint[0]; got != 2 {
+	if got := hint(30); got != 2 {
 		t.Fatalf("hint after third fill = %d, want 2", got)
 	}
 	if !c.Access(10, false) {
 		t.Fatal("lost line 10")
 	}
-	if got := c.hint[0]; got != 0 {
+	if got := hint(10); got != 0 {
 		t.Fatalf("hint after re-hit on way 0 = %d, want 0", got)
 	}
 	// Invalidate the hinted line: the stale hint must neither resurrect it
-	// nor misdirect lookups for the set's other lines.
+	// nor misdirect lookups for the set's other lines, including the one
+	// sharing its slot.
 	c.Invalidate(10)
 	if _, ok := c.Lookup(10); ok {
 		t.Fatal("invalidated line still hits through the hint")
@@ -400,7 +467,7 @@ func TestWayHint(t *testing.T) {
 	if !ok {
 		t.Fatal("lost line 40")
 	}
-	if got := int(c.hint[0]); got != w {
+	if got := hint(40); got != w {
 		t.Fatalf("hint = %d after install into way %d", got, w)
 	}
 	// FillIfAbsent / FillOrDirty on a present line served via the hint must
@@ -414,13 +481,44 @@ func TestWayHint(t *testing.T) {
 	if ln, _ := c.Lookup(40); !ln.Dirty {
 		t.Fatal("FillOrDirty through the hint lost the dirty bit")
 	}
-	// Lookup hits train the hint too: a probe miss followed by a sweep hit
-	// records the located way for the next probe.
+	// Lookup hits train the hint too: line 20's slot points at 40, so the
+	// probe misses, and the sweep hit records 20's way for the next probe.
 	if _, ok := c.Lookup(20); !ok {
 		t.Fatal("lost line 20")
 	}
-	if w, _ := c.WayOf(20); int(c.hint[0]) != w {
-		t.Fatalf("hint = %d after Lookup hit on way %d", c.hint[0], w)
+	if w, _ := c.WayOf(20); hint(20) != w {
+		t.Fatalf("hint = %d after Lookup hit on way %d", hint(20), w)
+	}
+}
+
+// TestWayHintLineKeyed pins the table size and the keying: one slot per
+// line (a power of two, capped at maxHintSlots but never below one per
+// set), keyed by line-address bits above the set index too, so the ways
+// of one set hold distinct hints at once.
+func TestWayHintLineKeyed(t *testing.T) {
+	for _, g := range []struct{ sets, ways, want uint64 }{
+		{32, 8, 256},
+		{3, 2, 4},
+		{1, 1, 1},
+		{1000, 3, 2048},
+		{1 << 14, 16, 1 << 16},
+		{1 << 17, 1, 1 << 17},
+	} {
+		if got := hintSlots(g.sets, g.sets*g.ways); got != g.want {
+			t.Errorf("hintSlots(%d sets, %d ways) = %d, want %d", g.sets, g.ways, got, g.want)
+		}
+	}
+	const sets, ways = 32, 8
+	c := New(sets, ways)
+	for w := uint64(0); w < ways; w++ {
+		c.Fill(5+w*sets, false, 0) // all in set 5
+	}
+	for w := uint64(0); w < ways; w++ {
+		addr := 5 + w*sets
+		i, ok := c.find(addr)
+		if !ok || uint64(c.hint[addr&c.hintMask]) != i {
+			t.Fatalf("line %d (way %d) is not served by its own hint slot", addr, w)
+		}
 	}
 }
 
@@ -441,30 +539,65 @@ func BenchmarkAccessRepeatHit(b *testing.B) {
 }
 
 // BenchmarkAccessWaySweep defeats the hint on every access (round-robin
-// over a set's ways), timing the full-sweep fallback for contrast.
+// over a set's ways), timing the full-sweep fallback for contrast. The
+// stride is sets×ways, the hint table's size, so all eight lines share one
+// set and one hint slot.
 func BenchmarkAccessWaySweep(b *testing.B) {
-	c := New(1024, 8)
-	for i := uint64(0); i < 8*1024; i++ {
-		c.Fill(i, false, 0)
+	const sets, ways = 1024, 8
+	c := New(sets, ways)
+	for w := uint64(0); w < ways; w++ {
+		c.Fill(w*sets*ways+5, false, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !c.Access(uint64(i%8)*1024+5, false) {
+		if !c.Access(uint64(i%ways)*sets*ways+5, false) {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkAccessNearReuse is the L1 pattern of trace.Gen's near-reuse
+// component: uniform hits over 64 recently used lines in a 32×8 cache,
+// two lines per set.
+func BenchmarkAccessNearReuse(b *testing.B) {
+	c := New(32, 8)
+	var lines [64]uint64
+	r := uint64(0x9e3779b97f4a7c15)
+	for i := range lines {
+		for {
+			r ^= r << 13
+			r ^= r >> 7
+			r ^= r << 17
+			a := r % (1 << 20)
+			if c.Victim(a).Valid {
+				continue // set full: keep every line resident
+			}
+			if _, filled := c.FillIfAbsent(a, false, 0); filled {
+				lines[i] = a
+				break
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.Access(lines[(uint64(i)*0x9e3779b97f4a7c15)>>58], false) {
 			b.Fatal("miss")
 		}
 	}
 }
 
 // TestWayHintAliasing pins the masked-hint invariant: hint entries are
-// keyed by the address's low set bits, so non-power-of-two geometries
-// alias — a hint trained by one set is consulted by another. Tag
+// keyed by the line address's low bits, so under a non-power-of-two
+// geometry lines of different sets share a slot — a hint trained by one
+// set is consulted by another. Tag
 // verification must turn every alias into a clean sweep fall-through,
 // never a wrong-way hit or a fabricated one.
 func TestWayHintAliasing(t *testing.T) {
-	c := New(3, 2)      // hintMask = 1: sets 0 and 2 share a hint entry
+	c := New(3, 2)      // hintMask = 3: lines 6 and 2 share slot 2
 	c.Fill(6, false, 0) // set 0
-	c.Fill(2, false, 0) // set 2; retrains the shared entry
+	c.Fill(2, false, 0) // set 2; retrains the shared slot
 	if !c.Access(6, false) {
 		t.Fatal("aliased hint broke a set-0 access")
 	}

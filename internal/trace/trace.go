@@ -19,6 +19,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -141,7 +142,17 @@ type Gen struct {
 	hotLines  uint64
 	seqCursor uint64
 
-	missFrac float64
+	// Draw thresholds, hoisted off the per-op path. rng's Float64 is
+	// float64(u>>11)/2^53, an exact conversion and division, so a draw
+	// Float64() < p is exactly the integer compare u>>11 < thresh(p, 53): the
+	// same draws, the same outcomes, no float work. missT is Bool(MPKI/APKI);
+	// hotT and hotSeqT are HotFrac and the float64 sum HotFrac+SeqFrac the
+	// far-access switch compares against; storeT is storeLine's 16-bit
+	// counterpart.
+	missT    uint64
+	hotT     uint64
+	hotSeqT  uint64
+	storeT   uint64
 	gapPerOp float64 // 1000/APKI - 1, hoisted off the per-op path
 	nonMemQ  float64 // fractional non-mem instructions carried over
 
@@ -175,13 +186,30 @@ func NewGen(b Benchmark, core int, scale int, seed uint64) *Gen {
 		base:      uint64(core) * coreRegionStride,
 		footLines: perCoreLines,
 		hotLines:  hotLines,
-		missFrac:  b.MPKI / b.APKI,
+		missT:     thresh(b.MPKI/b.APKI, 53),
+		hotT:      thresh(b.HotFrac, 53),
+		hotSeqT:   thresh(b.HotFrac+b.SeqFrac, 53),
+		storeT:    thresh(b.StoreFrac, 16),
 		gapPerOp:  1000/b.APKI - 1,
 	}
 	// Hot region sits in the middle of the footprint.
 	g.hotBase = g.base + perCoreLines/4
 	g.seqCursor = g.base
 	return g
+}
+
+// thresh returns the T such that, for every integer v in
+// [0, 2^k), float64(v)/2^k < p holds exactly when v < T. Both sides are
+// exact in float64 for k ≤ 53 (v and p·2^k only rescale by a power of
+// two), so T = ceil(p·2^k), clamped to [0, 2^k]; NaN never passes.
+func thresh(p float64, k uint) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << k
+	}
+	return uint64(math.Ceil(math.Ldexp(p, int(k))))
 }
 
 // Bench returns the benchmark this generator models.
@@ -227,7 +255,7 @@ const (
 func (g *Gen) storeLine(line uint64) bool {
 	x := line * 0x9e3779b97f4a7c15
 	x ^= x >> 29
-	return float64(x&0xFFFF)/0x10000 < g.b.StoreFrac
+	return x&0xFFFF < g.storeT
 }
 
 // Next fills op with the next trace record.
@@ -238,7 +266,7 @@ func (g *Gen) Next(op *Op) {
 	g.nonMemQ -= float64(nm)
 	op.NonMem = nm
 
-	if g.recentLen > 0 && !g.r.Bool(g.missFrac) {
+	if g.recentLen > 0 && g.r.Uint64()>>11 >= g.missT {
 		// Near reuse: hits the L1/L2 most of the time.
 		op.Line = g.recent[g.r.Intn(g.recentLen)]
 		op.PC = pcNear + uint64(g.r.Intn(8))*4
@@ -247,12 +275,12 @@ func (g *Gen) Next(op *Op) {
 	}
 
 	// Far access: chooses among hot / sequential / random components.
-	x := g.r.Float64()
+	x := g.r.Uint64() >> 11
 	switch {
-	case x < g.b.HotFrac && g.hotLines > 0:
+	case x < g.hotT && g.hotLines > 0:
 		op.Line = g.hotBase + g.r.Uint64n(g.hotLines)
 		op.PC = pcHot + uint64(g.r.Intn(8))*4
-	case x < g.b.HotFrac+g.b.SeqFrac:
+	case x < g.hotSeqT:
 		op.Line = g.seqCursor
 		g.seqCursor++
 		if g.seqCursor >= g.base+g.footLines {

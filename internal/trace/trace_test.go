@@ -293,3 +293,90 @@ func TestNonMemAveragesToAPKI(t *testing.T) {
 		t.Errorf("measured APKI = %.1f, want about %.0f", apki, b.APKI)
 	}
 }
+
+// refStoreLine and refNext are Gen's float-compare draw logic as it was
+// before the integer thresholds: Bool(MPKI/APKI) for near reuse, a
+// Float64 against HotFrac and HotFrac+SeqFrac for the far component, and a
+// float store fraction per line. TestGenMatchesFloatReference holds the
+// integer version to them op for op.
+func refStoreLine(g *Gen, line uint64) bool {
+	x := line * 0x9e3779b97f4a7c15
+	x ^= x >> 29
+	return float64(x&0xFFFF)/0x10000 < g.b.StoreFrac
+}
+
+func refNext(g *Gen, op *Op) {
+	g.nonMemQ += g.gapPerOp
+	nm := uint32(g.nonMemQ)
+	g.nonMemQ -= float64(nm)
+	op.NonMem = nm
+
+	if g.recentLen > 0 && !g.r.Bool(g.b.MPKI/g.b.APKI) {
+		op.Line = g.recent[g.r.Intn(g.recentLen)]
+		op.PC = pcNear + uint64(g.r.Intn(8))*4
+		op.Store = refStoreLine(g, op.Line)
+		return
+	}
+	x := g.r.Float64()
+	switch {
+	case x < g.b.HotFrac && g.hotLines > 0:
+		op.Line = g.hotBase + g.r.Uint64n(g.hotLines)
+		op.PC = pcHot + uint64(g.r.Intn(8))*4
+	case x < g.b.HotFrac+g.b.SeqFrac:
+		op.Line = g.seqCursor
+		g.seqCursor++
+		if g.seqCursor >= g.base+g.footLines {
+			g.seqCursor = g.base
+		}
+		op.PC = pcSeq + uint64(g.r.Intn(8))*4
+	default:
+		op.Line = g.base + g.r.Uint64n(g.footLines)
+		op.PC = pcRand + uint64(g.r.Intn(8))*4
+	}
+	op.Store = refStoreLine(g, op.Line)
+	g.remember(op.Line)
+}
+
+// TestGenMatchesFloatReference proves the integer thresholds exact: every
+// catalog benchmark, on two cores and two seeds, emits the same ops as the
+// float reference.
+func TestGenMatchesFloatReference(t *testing.T) {
+	const ops = 200000
+	for _, b := range Catalog {
+		for _, core := range []int{0, 5} {
+			for _, seed := range []uint64{1, 0xdecafbad} {
+				g, ref := NewGen(b, core, 256, seed), NewGen(b, core, 256, seed)
+				var got, want Op
+				for i := 0; i < ops; i++ {
+					g.Next(&got)
+					refNext(ref, &want)
+					if got != want {
+						t.Fatalf("%s core %d seed %#x op %d: got %+v, float reference %+v", b.Name, core, seed, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestThresh53Boundaries checks the threshold at its edge: for every
+// probability the generator compares against (plus 0, 1 and a tiny one),
+// v = T-1 passes the float compare and v = T fails it.
+func TestThresh53Boundaries(t *testing.T) {
+	ps := []float64{0, 1, 0x1p-60}
+	for _, b := range Catalog {
+		ps = append(ps, b.MPKI/b.APKI, b.HotFrac, b.HotFrac+b.SeqFrac, b.StoreFrac)
+	}
+	for _, p := range ps {
+		for _, k := range []uint{53, 16} {
+			T := thresh(p, k)
+			below := func(v uint64) bool { return float64(v)/float64(uint64(1)<<k) < p }
+			if T > 0 && !below(T-1) {
+				t.Errorf("p=%v k=%d: v=T-1=%d fails the float compare", p, k, T-1)
+			}
+			if T < 1<<k && below(T) {
+				t.Errorf("p=%v k=%d: v=T=%d passes the float compare", p, k, T)
+			}
+		}
+	}
+}
