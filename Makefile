@@ -62,4 +62,9 @@ sweep-identical:
 profile:
 	scripts/profile.sh
 
-ci: vet lint build race bench-smoke
+# ci runs scripts/ci.sh, the one definition of what a PR must pass: gofmt,
+# vet, simlint, build, the shuffled race suite, bench-smoke, the
+# fault-injection smoke, the bearbench and bearsim resume round trips and
+# the bearserve chaos smoke.
+ci:
+	scripts/ci.sh

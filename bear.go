@@ -142,7 +142,7 @@ func DefaultConfig() Config {
 		Scale:      64,
 		Design:     Alloy,
 		Bypass:     FillAlways,
-		BypassProb: 0.9,
+		BypassProb: config.Default(1).BypassProb,
 		WarmInstr:  1_000_000,
 		MeasInstr:  2_000_000,
 		Seed:       1,

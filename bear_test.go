@@ -71,6 +71,25 @@ func TestPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestBadScaleRejected: the scale divides every capacity, so a scale
+// below 1 fails as a typed configuration error before any simulation
+// starts, with or without a capacity override.
+func TestBadScaleRejected(t *testing.T) {
+	for _, tc := range []struct {
+		scale      int
+		capacityMB int64
+	}{{0, 0}, {0, 512}, {-4, 512}} {
+		cfg := quickCfg(bear.Alloy)
+		cfg.Scale = tc.scale
+		cfg.CapacityMB = tc.capacityMB
+		_, err := bear.RunRate(cfg, "mcf")
+		var se *exp.ScaleError
+		if !errors.As(err, &se) || se.Scale != tc.scale {
+			t.Errorf("Scale %d, CapacityMB %d: err = %v, want *exp.ScaleError", tc.scale, tc.capacityMB, err)
+		}
+	}
+}
+
 func TestRunMix(t *testing.T) {
 	r, err := bear.RunMix(quickCfg(bear.Alloy), 3)
 	if err != nil {

@@ -13,35 +13,12 @@ import (
 
 	"bear/internal/config"
 	"bear/internal/stats"
-	"bear/internal/trace"
 )
 
 // ablationWorkloads is a representative subset spanning the behaviours the
 // policies react to: bypass-friendly (mcf), streaming (lbm, libq),
 // reuse-heavy where bypass hurts (Gems, zeusmp), writeback-heavy (omnetpp).
 var ablationWorkloads = []string{"mcf", "lbm", "libq", "omnetpp", "Gems", "zeusmp"}
-
-func ablSpeedups(r *Runner, s, base spec) (float64, error) {
-	bases := make([]Future, len(ablationWorkloads))
-	vs := make([]Future, len(ablationWorkloads))
-	for i, name := range ablationWorkloads {
-		bases[i] = r.RateAsync(base, name)
-		vs[i] = r.RateAsync(s, name)
-	}
-	var xs []float64
-	for i := range ablationWorkloads {
-		b, err := bases[i].Wait()
-		if err != nil {
-			return 0, err
-		}
-		v, err := vs[i].Wait()
-		if err != nil {
-			return 0, err
-		}
-		xs = append(xs, v.Speedup(b))
-	}
-	return stats.GeoMean(xs), nil
-}
 
 func init() {
 	register(Experiment{
@@ -50,27 +27,27 @@ func init() {
 		Title:    "BAB bypass-probability sweep (the paper selects P=90%)",
 		About:    "Section 4.2's sensitivity: speedup and hit-rate loss vs P on representative workloads",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			variants := []spec{specAlloy}
+			variants := []UnitSpec{specAlloy}
 			for _, prob := range []float64{0.5, 0.75, 0.9, 0.95} {
 				s := specBAB()
-				s.prob = prob
+				s.BypassProb = prob
 				variants = append(variants, s)
 			}
 			r.PrefetchRate(variants, ablationWorkloads)
 			t := newTable("P", "Speedup-vs-Alloy", "HitRate", "FillBytes/Read")
-			base, err := ablAgg(r, specAlloy)
+			base, err := aggRate(r, specAlloy, ablationWorkloads)
 			if err != nil {
 				return err
 			}
 			t.row("fill-always", "1.000", pct(base.l4.HitRate()), f2(fillPerRead(&base.l4)))
 			for _, prob := range []float64{0.5, 0.75, 0.9, 0.95} {
 				s := specBAB()
-				s.prob = prob
-				g, err := ablSpeedups(r, s, specAlloy)
+				s.BypassProb = prob
+				_, g, err := r.rateSpeedups(s, specAlloy, ablationWorkloads)
 				if err != nil {
 					return err
 				}
-				a, err := ablAgg(r, s)
+				a, err := aggRate(r, s, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -89,18 +66,18 @@ func init() {
 		Title:    "Neighboring Tag Cache capacity sweep (the paper uses 8 entries/bank)",
 		About:    "Probes saved and speedup as the per-bank NTC grows",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			variants := []spec{specAlloy}
+			variants := []UnitSpec{specAlloy}
 			for _, n := range []int{2, 4, 8, 16, 32} {
 				s := specBEAR
-				s.ntcEntries = n
+				s.NTCEntries = n
 				variants = append(variants, s)
 			}
 			r.PrefetchRate(variants, ablationWorkloads)
 			t := newTable("Entries/bank", "Speedup-vs-Alloy", "ProbesSaved", "ParallelSquashed")
 			for _, n := range []int{2, 4, 8, 16, 32} {
 				s := specBEAR
-				s.ntcEntries = n
-				g, err := ablSpeedups(r, s, specAlloy)
+				s.NTCEntries = n
+				_, g, err := r.rateSpeedups(s, specAlloy, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -126,10 +103,10 @@ func init() {
 		Title:    "Miss-predictor quality: always-hit vs MAP-I vs perfect oracle",
 		About:    "Serialisation penalty of mispredictions on the Alloy baseline (MAP-I is the paper's choice)",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			variants := []spec{specAlloy}
+			variants := []UnitSpec{specAlloy}
 			for _, mode := range []config.PredMode{config.PredAlwaysHit, config.PredMAPI, config.PredPerfect} {
 				s := specAlloy
-				s.pred = mode
+				s.Pred = mode
 				variants = append(variants, s)
 			}
 			r.PrefetchRate(variants, ablationWorkloads)
@@ -137,12 +114,12 @@ func init() {
 			base := specAlloy
 			for _, mode := range []config.PredMode{config.PredAlwaysHit, config.PredMAPI, config.PredPerfect} {
 				s := specAlloy
-				s.pred = mode
-				g, err := ablSpeedups(r, s, base)
+				s.Pred = mode
+				_, g, err := r.rateSpeedups(s, base, ablationWorkloads)
 				if err != nil {
 					return err
 				}
-				a, err := ablAgg(r, s)
+				a, err := aggRate(r, s, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -162,17 +139,17 @@ func init() {
 		About:    "Switching the baseline to writeback-allocate activates the WB Fill category",
 		Run: func(p Params, w io.Writer, r *Runner) error {
 			wbAlloc := specAlloy
-			wbAlloc.wbAllocate = true
-			r.PrefetchRate([]spec{specAlloy, wbAlloc}, ablationWorkloads)
+			wbAlloc.WBAllocate = true
+			r.PrefetchRate([]UnitSpec{specAlloy, wbAlloc}, ablationWorkloads)
 			t := newTable("Policy", "WBProbe", "WBUpdate", "WBFill", "Total", "Speedup")
 			for _, alloc := range []bool{false, true} {
 				s := specAlloy
-				s.wbAllocate = alloc
-				a, err := ablAgg(r, s)
+				s.WBAllocate = alloc
+				a, err := aggRate(r, s, ablationWorkloads)
 				if err != nil {
 					return err
 				}
-				g, err := ablSpeedups(r, s, specAlloy)
+				_, g, err := r.rateSpeedups(s, specAlloy, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -190,23 +167,6 @@ func init() {
 	})
 }
 
-// ablAgg aggregates the ablation workload subset under one spec.
-func ablAgg(r *Runner, s spec) (aggregate, error) {
-	futs := make([]Future, len(ablationWorkloads))
-	for i, name := range ablationWorkloads {
-		futs[i] = r.RateAsync(s, name)
-	}
-	var a aggregate
-	for _, f := range futs {
-		run, err := f.Wait()
-		if err != nil {
-			return a, err
-		}
-		a.add(run)
-	}
-	return a, nil
-}
-
 // fillPerRead reports Miss-Fill bytes per L4 read, the bandwidth BAB frees.
 func fillPerRead(l *stats.L4) float64 {
 	if l.Reads() == 0 {
@@ -214,8 +174,6 @@ func fillPerRead(l *stats.L4) float64 {
 	}
 	return float64(l.Bytes[stats.MissFill]) / float64(l.Reads())
 }
-
-var _ = trace.RateNames // keep the import pattern consistent with experiments.go
 
 func init() {
 	register(Experiment{
@@ -227,27 +185,23 @@ func init() {
 			t := newTable("Policy", "Speedup-vs-Alloy", "HitRate", "Bloat", "StatusUpd")
 			configs := []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{
 				{"fill-always", specAlloy},
 				{"BAB", specBAB()},
-				{"dead-block", func() spec {
-					s := baseSpec(config.Alloy)
-					s.bypass = config.DeadBlockBypass
-					return s
-				}()},
+				{"dead-block", UnitSpec{Design: "Alloy", Bypass: config.DeadBlockBypass}},
 			}
-			variants := make([]spec, len(configs))
+			variants := make([]UnitSpec, len(configs))
 			for i, c := range configs {
 				variants[i] = c.s
 			}
 			r.PrefetchRate(variants, ablationWorkloads)
 			for _, c := range configs {
-				g, err := ablSpeedups(r, c.s, specAlloy)
+				_, g, err := r.rateSpeedups(c.s, specAlloy, ablationWorkloads)
 				if err != nil {
 					return err
 				}
-				a, err := ablAgg(r, c.s)
+				a, err := aggRate(r, c.s, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -278,17 +232,14 @@ func init() {
 				{"TTC", false, true},
 				{"NTC+TTC", true, true},
 			}
-			variants := []spec{specAlloy}
+			variants := []UnitSpec{specAlloy}
 			for _, c := range configs {
-				s := baseSpec(config.Alloy)
-				s.ntc, s.ttc = c.ntc, c.ttc
-				variants = append(variants, s)
+				variants = append(variants, UnitSpec{Design: "Alloy", NTC: c.ntc, TTC: c.ttc})
 			}
 			r.PrefetchRate(variants, ablationWorkloads)
 			for _, c := range configs {
-				s := baseSpec(config.Alloy)
-				s.ntc, s.ttc = c.ntc, c.ttc
-				g, err := ablSpeedups(r, s, specAlloy)
+				s := UnitSpec{Design: "Alloy", NTC: c.ntc, TTC: c.ttc}
+				_, g, err := r.rateSpeedups(s, specAlloy, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -316,26 +267,24 @@ func init() {
 		Title:    "Insertion policy: LRU vs DIP over Loh-Hill and TIS (paper footnote 3)",
 		About:    "DIP is a standalone FillPolicy since the granularity refactor, so the same dipFill composes over both the in-DRAM (LH) and in-SRAM (TIS) tag stores; speedups are vs each design's own LRU base",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			lhDIP := specLH
-			lhDIP.lhDIP = true
-			tisDIP := specTIS
-			tisDIP.tisDIP = true
-			r.PrefetchRate([]spec{specLH, lhDIP, specTIS, tisDIP}, ablationWorkloads)
+			lhDIP := UnitSpec{Design: "LH", LHDIP: true}
+			tisDIP := UnitSpec{Design: "TIS", TISDIP: true}
+			r.PrefetchRate([]UnitSpec{specLH, lhDIP, specTIS, tisDIP}, ablationWorkloads)
 			t := newTable("Policy", "Speedup-vs-LRU", "HitRate", "Bloat")
 			for _, d := range []struct {
 				name    string
-				s, base spec
+				s, base UnitSpec
 			}{
 				{"LH-LRU", specLH, specLH},
 				{"LH-DIP", lhDIP, specLH},
 				{"TIS-LRU", specTIS, specTIS},
 				{"TIS-DIP", tisDIP, specTIS},
 			} {
-				g, err := ablSpeedups(r, d.s, d.base)
+				_, g, err := r.rateSpeedups(d.s, d.base, ablationWorkloads)
 				if err != nil {
 					return err
 				}
-				a, err := ablAgg(r, d.s)
+				a, err := aggRate(r, d.s, ablationWorkloads)
 				if err != nil {
 					return err
 				}
@@ -361,19 +310,17 @@ func init() {
 				{"dead-block", config.DeadBlockBypass},
 				{"update-bypass", config.UpdateBypass},
 			}
-			variants := make([]spec, len(configs))
+			variants := make([]UnitSpec, len(configs))
 			for i, c := range configs {
-				s := baseSpec(config.Alloy)
-				s.bypass = c.bypass
-				variants[i] = s
+				variants[i] = UnitSpec{Design: "Alloy", Bypass: c.bypass}
 			}
 			r.PrefetchRate(variants, ablationWorkloads)
 			for i, c := range configs {
-				g, err := ablSpeedups(r, variants[i], specAlloy)
+				_, g, err := r.rateSpeedups(variants[i], specAlloy, ablationWorkloads)
 				if err != nil {
 					return err
 				}
-				a, err := ablAgg(r, variants[i])
+				a, err := aggRate(r, variants[i], ablationWorkloads)
 				if err != nil {
 					return err
 				}

@@ -27,25 +27,25 @@ func init() {
 		Run: func(p Params, w io.Writer, r *Runner) error {
 			designs := []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{
 				{"Alloy", specAlloy},
 				{"BEAR", specBEAR},
 				{"Banshee", specBanshee},
 				{"TicToc", specTicToc},
 			}
-			all := make([]spec, len(designs))
+			all := make([]UnitSpec, len(designs))
 			for i, d := range designs {
 				all[i] = d.s
 			}
 			r.PrefetchRate(all, trace.RateNames())
 			t := newTable("Design", "HitRate", "Hit", "MissProbe", "MissFill", "VictimRd", "WBProbe", "WBUpdate", "Total", "Speedup-vs-Alloy")
 			for _, d := range designs {
-				a, err := aggRate(r, d.s)
+				a, err := aggRate(r, d.s, trace.RateNames())
 				if err != nil {
 					return err
 				}
-				_, g, err := r.rateSpeedups(d.s, specAlloy)
+				_, g, err := r.rateSpeedups(d.s, specAlloy, trace.RateNames())
 				if err != nil {
 					return err
 				}

@@ -5,9 +5,9 @@
 //
 // Every simulation is independent and deterministic (seeded RNG, totally
 // ordered event queue), so the Runner executes them on a bounded worker
-// pool: experiments launch futures for the (spec, workload) pairs they
-// need and collect results in a fixed order, which makes parallel and
-// serial sweeps byte-identical.
+// pool: experiments launch futures for the units they need and collect
+// results in a fixed order, which makes parallel and serial sweeps
+// byte-identical.
 package exp
 
 import (
@@ -110,73 +110,7 @@ func IDs() []string {
 	return ids
 }
 
-// spec identifies a system configuration for the memo cache.
-type spec struct {
-	design     config.Design
-	bypass     config.BypassPolicy
-	prob       float64
-	dcp, ntc   bool
-	channels   int
-	banks      int
-	capacityMB int64
-	ntcEntries int // 0 = paper default (8)
-	pred       config.PredMode
-	wbAllocate bool
-	ttc        bool
-	lhDIP      bool
-	tisDIP     bool
-}
-
-// baseSpec returns the paper-default system for a design (BEAR expands to
-// its three components).
-func baseSpec(d config.Design) spec {
-	s := spec{design: d, prob: 0.9}
-	if d == config.BEAR {
-		s.bypass = config.BandwidthAware
-		s.dcp, s.ntc = true, true
-	}
-	return s
-}
-
-func (s spec) build(p Params) config.System {
-	sys := config.Default(p.Scale)
-	sys.Design = s.design
-	sys.Bypass = s.bypass
-	sys.BypassProb = s.prob
-	sys.UseDCP = s.dcp
-	sys.UseNTC = s.ntc
-	if s.channels > 0 {
-		sys.L4.Channels = s.channels
-	}
-	if s.banks > 0 {
-		sys.L4.Banks = s.banks
-	}
-	if s.capacityMB > 0 {
-		sys.CacheBytes = s.capacityMB << 20 / int64(p.Scale)
-	}
-	if s.ntcEntries > 0 {
-		sys.NTCEntriesPerBank = s.ntcEntries
-	}
-	sys.Pred = s.pred
-	sys.WBAllocate = s.wbAllocate
-	sys.UseTTC = s.ttc
-	sys.LHUseDIP = s.lhDIP
-	sys.TISUseDIP = s.tisDIP
-	sys.Seed = p.Seed
-	return sys
-}
-
-// memoKey is the memo-cache key: the spec struct itself plus the workload
-// name. Specs are small comparable structs, so keys need no per-call
-// formatting — the Runner was previously building a ~100-byte fmt string
-// for every lookup, hit or miss. Params are fixed per Runner and so are
-// not part of the key.
-type memoKey struct {
-	s  spec
-	wl string
-}
-
-// task is one memoised simulation: created exactly once per memoKey
+// task is one memoised simulation: created exactly once per canonical unit
 // (singleflight), executed on the worker pool, awaited by any number of
 // futures.
 type task struct {
@@ -198,10 +132,10 @@ func (f Future) Wait() (*stats.Run, error) {
 // configuration (every figure reuses the Alloy baseline) run it once — and
 // with a bounded worker pool, so independent simulations run concurrently.
 //
-// Requesting the same (spec, workload) twice — even from two goroutines at
-// once — shares one in-flight simulation (singleflight). Results are
-// collected by callers in a deterministic order, and each simulation is
-// itself deterministic, so runs at any Parallel setting are byte-identical.
+// Requesting the same unit twice — even from two goroutines at once —
+// shares one in-flight simulation (singleflight). Results are collected
+// by callers in a deterministic order, and each simulation is itself
+// deterministic, so runs at any Parallel setting are byte-identical.
 type Runner struct {
 	p Params
 
@@ -220,13 +154,17 @@ type Runner struct {
 	// makes interrupted sweeps resumable. Set before the first request.
 	Store *Store
 
+	// cores is the core count every workload is generated for:
+	// config.Default's, which no unit overrides.
+	cores int
+
 	mu          sync.Mutex
-	memo        map[memoKey]*task
-	sem         chan struct{} // worker slots, sized from Parallel on first use
+	memo        map[UnitSpec]*task // keyed by canonical unit
+	sem         chan struct{}      // worker slots, sized from Parallel on first use
 	count       int
 	restored    int
 	interrupted bool
-	failures    map[memoKey]Failure
+	failures    map[UnitSpec]Failure
 
 	logMu  sync.Mutex
 	queues sync.Pool // *event.Queue, reused across simulations per worker
@@ -238,8 +176,9 @@ func NewRunner(p Params) *Runner {
 	return &Runner{
 		p:        p,
 		Parallel: runtime.GOMAXPROCS(0),
-		memo:     make(map[memoKey]*task),
-		failures: make(map[memoKey]Failure),
+		cores:    config.Default(p.Scale).Core.Count,
+		memo:     make(map[UnitSpec]*task),
+		failures: make(map[UnitSpec]Failure),
 	}
 }
 
@@ -268,10 +207,18 @@ func (r *Runner) progress(format string, args ...any) {
 	fmt.Fprintf(r.Log, format, args...)
 }
 
-// start returns the task for (s, wlName), launching it on the worker pool
-// if this is the first request for that key.
-func (r *Runner) start(s spec, wlName string, mk func() (trace.Workload, error)) *task {
-	key := memoKey{s: s, wl: wlName}
+// failed returns a completed task that carries err.
+func failed(err error) *task {
+	t := &task{err: err, done: make(chan struct{})}
+	close(t.done)
+	return t
+}
+
+// start returns the task for the canonical unit key, launching the
+// simulation of sys on the worker pool if this is the first request for
+// that key. The simulation runs on wl when it is given, else on the
+// workload key names.
+func (r *Runner) start(key UnitSpec, sys config.System, wl *trace.Workload) *task {
 	r.mu.Lock()
 	if t, ok := r.memo[key]; ok {
 		r.mu.Unlock()
@@ -281,9 +228,7 @@ func (r *Runner) start(s spec, wlName string, mk func() (trace.Workload, error))
 		// Drain mode: refuse to start anything new, without memoising the
 		// refusal — a later sweep over the same store must re-request it.
 		r.mu.Unlock()
-		t := &task{err: ErrInterrupted, done: make(chan struct{})}
-		close(t.done)
-		return t
+		return failed(ErrInterrupted)
 	}
 	if r.sem == nil {
 		workers := r.Parallel
@@ -308,17 +253,11 @@ func (r *Runner) start(s spec, wlName string, mk func() (trace.Workload, error))
 			r.mu.Unlock()
 			t.err = ErrInterrupted
 		} else {
-			t.res, t.err = r.runUnit(key, s, wlName, mk)
+			t.res, t.err = r.runUnit(key, sys, wl)
 		}
 		close(t.done)
 	}()
 	return t
-}
-
-// storeKey renders a memoKey for the result store. specs are flat structs
-// of value fields, so %+v is a stable, collision-free rendering.
-func storeKey(key memoKey) string {
-	return fmt.Sprintf("%+v|%s", key.s, key.wl)
 }
 
 // runUnit executes one simulation unit with fault isolation: a panic
@@ -328,12 +267,12 @@ func storeKey(key memoKey) string {
 // With a Store attached, completed units are restored instead of re-run,
 // and fresh results are persisted for future resumes. Every failure is
 // recorded for the sweep-level failure table.
-func (r *Runner) runUnit(key memoKey, s spec, wlName string, mk func() (trace.Workload, error)) (res *stats.Run, err error) {
+func (r *Runner) runUnit(key UnitSpec, sys config.System, wl *trace.Workload) (res *stats.Run, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &SimError{
-				Design:   s.design.String(),
-				Workload: wlName,
+				Design:   key.Design,
+				Workload: key.Workload,
 				Seed:     r.p.Seed,
 				Value:    v,
 				Stack:    string(debug.Stack()),
@@ -342,35 +281,39 @@ func (r *Runner) runUnit(key memoKey, s spec, wlName string, mk func() (trace.Wo
 		}
 		if err != nil && !errors.Is(err, ErrInterrupted) {
 			r.mu.Lock()
-			r.failures[key] = Failure{Design: s.design.String(), Workload: key.wl, Err: err}
+			r.failures[key] = Failure{Design: key.Design, Workload: key.Workload, Err: err}
 			r.mu.Unlock()
 		}
 	}()
 	if r.Store != nil {
-		if cached, ok := r.Store.Load(storeKey(key)); ok {
+		if cached, ok := r.Store.Load(key.storeKey()); ok {
 			r.mu.Lock()
 			r.restored++
 			r.mu.Unlock()
 			return cached, nil
 		}
 	}
-	res, err = r.simulate(s, wlName, mk)
+	res, err = r.simulate(key.Workload, sys, wl)
 	if err != nil {
 		return nil, err
 	}
 	if r.Store != nil {
-		r.Store.Save(storeKey(key), res)
+		r.Store.Save(key.storeKey(), res)
 	}
 	return res, nil
 }
 
 // simulate builds and runs one simulation on the calling worker goroutine.
-func (r *Runner) simulate(s spec, wlName string, mk func() (trace.Workload, error)) (*stats.Run, error) {
-	wl, err := mk()
-	if err != nil {
-		return nil, err
+func (r *Runner) simulate(wlName string, sys config.System, loaded *trace.Workload) (*stats.Run, error) {
+	var wl trace.Workload
+	if loaded != nil {
+		wl = *loaded
+	} else {
+		var err error
+		if wl, err = r.load(wlName); err != nil {
+			return nil, err
+		}
 	}
-	sys := s.build(r.p)
 	q, _ := r.queues.Get().(*event.Queue)
 	if q == nil {
 		q = new(event.Queue)
@@ -396,81 +339,85 @@ func (r *Runner) simulate(s spec, wlName string, mk func() (trace.Workload, erro
 	return res, nil
 }
 
-// RateAsync starts (or joins) the rate-mode simulation of a benchmark and
-// returns a future for its result.
-func (r *Runner) RateAsync(s spec, bench string) Future {
-	cores := config.Default(r.p.Scale).Core.Count
-	return Future{r.start(s, bench, func() (trace.Workload, error) {
-		return trace.Rate(bench, cores, r.p.Scale, r.p.Seed)
-	})}
+// future starts (or joins) one of the experiments' own units. They
+// are valid by construction, so a build error — a bad Params.Scale —
+// fails the future rather than the call.
+func (r *Runner) future(u UnitSpec) Future {
+	f, err := r.UnitAsync(u)
+	if err != nil {
+		return Future{failed(err)}
+	}
+	return f
+}
+
+// RateAsync starts (or joins) the rate-mode simulation of a benchmark
+// under u and returns a future for its result.
+func (r *Runner) RateAsync(u UnitSpec, bench string) Future {
+	u.Workload = bench
+	return r.future(u)
 }
 
 // MixAsync starts (or joins) mixed workload n and returns a future.
-func (r *Runner) MixAsync(s spec, n int) Future {
-	cores := config.Default(r.p.Scale).Core.Count
-	return Future{r.start(s, fmt.Sprintf("MIX%d", n), func() (trace.Workload, error) {
-		return trace.Mix(n, cores, r.p.Scale, r.p.Seed)
-	})}
+func (r *Runner) MixAsync(u UnitSpec, n int) Future {
+	u.Workload = fmt.Sprintf("MIX%d", n)
+	return r.future(u)
 }
 
 // SingleAsync starts (or joins) a benchmark alone on one core, for
 // Equation 2's single-program IPC denominators.
-func (r *Runner) SingleAsync(s spec, bench string) Future {
-	cores := config.Default(r.p.Scale).Core.Count
-	return Future{r.start(s, bench+"@single", func() (trace.Workload, error) {
-		return trace.Single(bench, cores, r.p.Scale, r.p.Seed)
-	})}
+func (r *Runner) SingleAsync(u UnitSpec, bench string) Future {
+	u.Workload = bench + "@single"
+	return r.future(u)
 }
 
 // Rate runs (or recalls) the rate-mode workload for a benchmark.
-func (r *Runner) Rate(s spec, bench string) (*stats.Run, error) {
-	return r.RateAsync(s, bench).Wait()
+func (r *Runner) Rate(u UnitSpec, bench string) (*stats.Run, error) {
+	return r.RateAsync(u, bench).Wait()
 }
 
 // Mix runs (or recalls) mixed workload n.
-func (r *Runner) Mix(s spec, n int) (*stats.Run, error) {
-	return r.MixAsync(s, n).Wait()
+func (r *Runner) Mix(u UnitSpec, n int) (*stats.Run, error) {
+	return r.MixAsync(u, n).Wait()
 }
 
 // Single runs (or recalls) a benchmark alone on one core.
-func (r *Runner) Single(s spec, bench string) (*stats.Run, error) {
-	return r.SingleAsync(s, bench).Wait()
+func (r *Runner) Single(u UnitSpec, bench string) (*stats.Run, error) {
+	return r.SingleAsync(u, bench).Wait()
 }
 
-// PrefetchRate fans the full (spec, workload) cross product out to the
+// PrefetchRate fans the full (unit, workload) cross product out to the
 // worker pool without waiting. Experiments call it up front so that the
 // sequential result-collection loops that follow find every simulation
 // already running (or memoised).
-func (r *Runner) PrefetchRate(specs []spec, names []string) {
-	for _, s := range specs {
+func (r *Runner) PrefetchRate(units []UnitSpec, names []string) {
+	for _, u := range units {
 		for _, name := range names {
-			r.RateAsync(s, name)
+			r.RateAsync(u, name)
 		}
 	}
 }
 
-// PrefetchMix fans the first n mixed workloads out for each spec.
-func (r *Runner) PrefetchMix(specs []spec, n int) {
-	for _, s := range specs {
+// PrefetchMix fans the first n mixed workloads out for each unit.
+func (r *Runner) PrefetchMix(units []UnitSpec, n int) {
+	for _, u := range units {
 		for m := 1; m <= n; m++ {
-			r.MixAsync(s, m)
+			r.MixAsync(u, m)
 		}
 	}
 }
 
 // PrefetchMixWS additionally starts the single-program runs Equation 2
 // needs for weighted speedups of the first n mixes.
-func (r *Runner) PrefetchMixWS(specs []spec, n int) {
-	r.PrefetchMix(specs, n)
-	cores := config.Default(r.p.Scale).Core.Count
+func (r *Runner) PrefetchMixWS(units []UnitSpec, n int) {
+	r.PrefetchMix(units, n)
 	for m := 1; m <= n; m++ {
-		wl, err := trace.Mix(m, cores, r.p.Scale, r.p.Seed)
+		wl, err := trace.Mix(m, r.cores, r.p.Scale, r.p.Seed)
 		if err != nil {
 			continue // surfaced by the collection phase
 		}
-		for _, s := range specs {
+		for _, u := range units {
 			for _, b := range wl.Benchs {
-				r.SingleAsync(s, b.Name)
+				r.SingleAsync(u, b.Name)
 			}
 		}
 	}
@@ -496,11 +443,11 @@ func (a *aggregate) add(r *stats.Run) {
 	a.l4.Bypasses += src.Bypasses
 }
 
-// rateSpeedups returns per-benchmark speedups of s over base, in catalog
-// order, plus the geometric mean. Both sweeps run concurrently; results
-// are folded in catalog order so the output is independent of Parallel.
-func (r *Runner) rateSpeedups(s, base spec) (map[string]float64, float64, error) {
-	names := trace.RateNames()
+// rateSpeedups returns the speedups of s over base on the named rate
+// workloads, plus their geometric mean. Both sweeps run concurrently;
+// results are folded in names order so the output is independent of
+// Parallel.
+func (r *Runner) rateSpeedups(s, base UnitSpec, names []string) (map[string]float64, float64, error) {
 	bases := make([]Future, len(names))
 	vs := make([]Future, len(names))
 	for i, name := range names {
@@ -528,10 +475,9 @@ func (r *Runner) rateSpeedups(s, base spec) (map[string]float64, float64, error)
 // mixNormWS returns normalized weighted speedups of s over base for the
 // first n mixes, plus the geometric mean. Weighted speedup uses Equation 2
 // with single-program IPCs measured per design.
-func (r *Runner) mixNormWS(s, base spec, n int) (map[string]float64, float64, error) {
-	r.PrefetchMixWS([]spec{base, s}, n)
-	cores := config.Default(r.p.Scale).Core.Count
-	singles := func(sp spec, benchs []trace.Benchmark) ([]float64, error) {
+func (r *Runner) mixNormWS(s, base UnitSpec, n int) (map[string]float64, float64, error) {
+	r.PrefetchMixWS([]UnitSpec{base, s}, n)
+	singles := func(sp UnitSpec, benchs []trace.Benchmark) ([]float64, error) {
 		out := make([]float64, len(benchs))
 		for i, b := range benchs {
 			run, err := r.Single(sp, b.Name)
@@ -545,7 +491,7 @@ func (r *Runner) mixNormWS(s, base spec, n int) (map[string]float64, float64, er
 	per := map[string]float64{}
 	var all []float64
 	for m := 1; m <= n; m++ {
-		wl, err := trace.Mix(m, cores, r.p.Scale, r.p.Seed)
+		wl, err := trace.Mix(m, r.cores, r.p.Scale, r.p.Seed)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -579,10 +525,10 @@ func (r *Runner) mixNormWS(s, base spec, n int) (map[string]float64, float64, er
 
 // allGeomean merges rate and mix relative performance into the paper's
 // RATE / MIX / ALL triple.
-func (r *Runner) allGeomean(s, base spec) (rate, mix, all float64, err error) {
+func (r *Runner) allGeomean(s, base UnitSpec) (rate, mix, all float64, err error) {
 	// Start the mix/single sweep before blocking on the rate sweep.
-	r.PrefetchMixWS([]spec{base, s}, r.p.Mixes)
-	perRate, rateG, err := r.rateSpeedups(s, base)
+	r.PrefetchMixWS([]UnitSpec{base, s}, r.p.Mixes)
+	perRate, rateG, err := r.rateSpeedups(s, base, trace.RateNames())
 	if err != nil {
 		return 0, 0, 0, err
 	}

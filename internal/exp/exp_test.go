@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"bear/internal/config"
+	"bear/internal/trace"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -48,12 +51,12 @@ func TestMemoisation(t *testing.T) {
 	if r.Count() != n {
 		t.Fatal("identical run not memoised")
 	}
-	// A different spec is a different run.
+	// A different unit is a different run.
 	if _, err := r.Rate(specBEAR, "wrf"); err != nil {
 		t.Fatal(err)
 	}
 	if r.Count() != n+1 {
-		t.Fatal("different spec hit the memo")
+		t.Fatal("different unit hit the memo")
 	}
 }
 
@@ -100,11 +103,15 @@ func TestTab4RunsTiny(t *testing.T) {
 }
 
 func TestSpecBuild(t *testing.T) {
-	s := specBEAR
-	s.channels = 8
-	s.banks = 32
-	s.capacityMB = 2048
-	sys := s.build(Default())
+	u := specBEAR
+	u.Workload = "mcf"
+	u.L4Channels = 8
+	u.L4Banks = 32
+	u.CapacityMB = 2048
+	_, sys, err := u.build(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sys.L4.Channels != 8 || sys.L4.Banks != 32 {
 		t.Fatalf("overrides lost: %+v", sys.L4)
 	}
@@ -112,19 +119,36 @@ func TestSpecBuild(t *testing.T) {
 		t.Fatalf("capacity = %d", sys.CacheBytes)
 	}
 	if !sys.UseDCP || !sys.UseNTC {
-		t.Fatal("BEAR spec lost components")
+		t.Fatal("BEAR unit lost components")
 	}
 }
 
 func TestSpecKeysDistinct(t *testing.T) {
-	// The memo cache keys on the spec struct itself; every named spec must
-	// therefore differ in at least one field or two configurations would
-	// share one simulation.
-	keys := map[memoKey]bool{}
-	for _, s := range []spec{specAlloy, specBEAR, specBWOpt, specLH, specPB(0.5), specPB(0.9), specBAB(), specBABDCP()} {
-		k := memoKey{s: s, wl: "x"}
+	// The memo cache keys on the canonical unit itself; every named unit
+	// and ablation variant must resolve, and differ in at least one field,
+	// or two configurations would share one simulation.
+	keys := map[UnitSpec]bool{}
+	for _, u := range []UnitSpec{
+		specNoL4, specAlloy, specBEAR, specBWOpt, specLH, specMC, specIncl, specTIS, specSC,
+		specBanshee, specTicToc, specPB(0.5), specPB(0.9), specBAB(), specBABDCP(),
+		{Design: "BEAR", NTCEntries: 16},
+		{Design: "Alloy", Pred: config.PredPerfect},
+		{Design: "Alloy", Pred: config.PredAlwaysHit},
+		{Design: "Alloy", WBAllocate: true},
+		{Design: "Alloy", TTC: true},
+		{Design: "Alloy", NTC: true, TTC: true},
+		{Design: "Alloy", Bypass: config.DeadBlockBypass},
+		{Design: "Alloy", Bypass: config.UpdateBypass},
+		{Design: "LH", LHDIP: true},
+		{Design: "TIS", TISDIP: true},
+	} {
+		u.Workload = "x"
+		k, err := u.resolve()
+		if err != nil {
+			t.Fatalf("%+v: %v", u, err)
+		}
 		if keys[k] {
-			t.Fatalf("duplicate spec key %+v", k)
+			t.Fatalf("duplicate unit key %+v", k)
 		}
 		keys[k] = true
 	}
@@ -145,7 +169,7 @@ func TestTableRendering(t *testing.T) {
 func TestAggregateCombines(t *testing.T) {
 	p := tinyParams()
 	r := NewRunner(p)
-	a, err := aggRate(r, specAlloy)
+	a, err := aggRate(r, specAlloy, trace.RateNames())
 	if err != nil {
 		t.Fatal(err)
 	}

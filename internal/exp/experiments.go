@@ -10,46 +10,39 @@ import (
 	"bear/internal/trace"
 )
 
-// Named system specs used across experiments.
+// Named units used across experiments; the Rate/Mix/Single helpers fill
+// in the workload.
 var (
-	specNoL4  = baseSpec(config.NoL4)
-	specAlloy = baseSpec(config.Alloy)
-	specBEAR  = baseSpec(config.BEAR)
-	specBWOpt = baseSpec(config.BWOpt)
-	specLH    = baseSpec(config.LohHill)
-	specMC    = baseSpec(config.MostlyClean)
-	specIncl  = baseSpec(config.InclAlloy)
-	specTIS   = baseSpec(config.TIS)
-	specSC    = baseSpec(config.Sector)
+	specNoL4  = UnitSpec{Design: "NoL4"}
+	specAlloy = UnitSpec{Design: "Alloy"}
+	specBEAR  = UnitSpec{Design: "BEAR"}
+	specBWOpt = UnitSpec{Design: "BW-Opt"}
+	specLH    = UnitSpec{Design: "LH"}
+	specMC    = UnitSpec{Design: "MC"}
+	specIncl  = UnitSpec{Design: "Incl-Alloy"}
+	specTIS   = UnitSpec{Design: "TIS"}
+	specSC    = UnitSpec{Design: "SC"}
 
 	// Page-grained cross-paper designs (see crosspaper.go).
-	specBanshee = baseSpec(config.Banshee)
-	specTicToc  = baseSpec(config.TicToc)
+	specBanshee = UnitSpec{Design: "Banshee"}
+	specTicToc  = UnitSpec{Design: "TicToc"}
 )
 
-func specPB(p float64) spec {
-	s := baseSpec(config.Alloy)
-	s.bypass = config.ProbBypass
-	s.prob = p
-	return s
+func specPB(p float64) UnitSpec {
+	return UnitSpec{Design: "Alloy", Bypass: config.ProbBypass, BypassProb: p}
 }
 
-func specBAB() spec {
-	s := baseSpec(config.Alloy)
-	s.bypass = config.BandwidthAware
-	return s
-}
+func specBAB() UnitSpec { return UnitSpec{Design: "Alloy", Bypass: config.BandwidthAware} }
 
-func specBABDCP() spec {
+func specBABDCP() UnitSpec {
 	s := specBAB()
-	s.dcp = true
+	s.DCP = true
 	return s
 }
 
-// aggRate byte-weight-aggregates the 16 rate workloads under one spec.
-// All 16 simulations run concurrently; the fold happens in catalog order.
-func aggRate(r *Runner, s spec) (*aggregate, error) {
-	names := trace.RateNames()
+// aggRate byte-weight-aggregates the named rate workloads under one unit.
+// All the simulations run concurrently; the fold happens in names order.
+func aggRate(r *Runner, s UnitSpec, names []string) (*aggregate, error) {
 	futs := make([]Future, len(names))
 	for i, name := range names {
 		futs[i] = r.RateAsync(s, name)
@@ -66,7 +59,7 @@ func aggRate(r *Runner, s spec) (*aggregate, error) {
 }
 
 // aggMix aggregates the first n mixes.
-func aggMix(r *Runner, s spec, n int) (*aggregate, error) {
+func aggMix(r *Runner, s UnitSpec, n int) (*aggregate, error) {
 	futs := make([]Future, n)
 	for m := 1; m <= n; m++ {
 		futs[m-1] = r.MixAsync(s, m)
@@ -89,17 +82,17 @@ func init() {
 		Title:    "Loh-Hill vs Alloy vs BW-Opt: Bloat Factor, hit latency, speedup over no-DRAM-cache",
 		About:    "16 rate workloads; dramcache/{lohhill,alloy} with Ideal knob; paper: bloat 7.3x/3.8x/1.0x",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specLH, specAlloy, specBWOpt, specNoL4}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specLH, specAlloy, specBWOpt, specNoL4}, trace.RateNames())
 			t := newTable("Design", "BloatFactor", "HitLatency", "Speedup-vs-NoL4")
 			for _, d := range []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{{"LH", specLH}, {"Alloy", specAlloy}, {"BW-Opt", specBWOpt}} {
-				a, err := aggRate(r, d.s)
+				a, err := aggRate(r, d.s, trace.RateNames())
 				if err != nil {
 					return err
 				}
-				_, g, err := r.rateSpeedups(d.s, specNoL4)
+				_, g, err := r.rateSpeedups(d.s, specNoL4, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -116,13 +109,13 @@ func init() {
 		Title:    "Alloy bandwidth breakdown vs BW-Opt, and potential performance",
 		About:    "16 rate workloads; stats six-way breakdown; paper: Alloy 3.8x total (Hit 1.25), +22% potential",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBWOpt}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specBWOpt}, trace.RateNames())
 			t := newTable("Design", "Hit", "MissProbe", "MissFill", "WBProbe", "WBUpdate", "WBFill", "Total")
 			for _, d := range []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{{"Alloy", specAlloy}, {"BW-Opt", specBWOpt}} {
-				a, err := aggRate(r, d.s)
+				a, err := aggRate(r, d.s, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -134,7 +127,7 @@ func init() {
 					f2(l.BloatFactor()))
 			}
 			t.write(w)
-			_, g, err := r.rateSpeedups(specBWOpt, specAlloy)
+			_, g, err := r.rateSpeedups(specBWOpt, specAlloy, trace.RateNames())
 			if err != nil {
 				return err
 			}
@@ -149,7 +142,7 @@ func init() {
 		Title:    "Naive Probabilistic Bypass (P=50%, P=90%): hit latency, hit rate, speedup",
 		About:    "16 rate workloads; core/bab in naive mode; paper: -12% latency at P=90 but hit-rate losses (Gems, zeusmp) erase the gains",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specPB(0.5), specPB(0.9)}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specPB(0.5), specPB(0.9)}, trace.RateNames())
 			t := newTable("Workload", "dHitLat50", "dHitLat90", "dHitRate50", "dHitRate90", "Speedup50", "Speedup90")
 			var s50s, s90s []float64
 			for _, name := range trace.RateNames() {
@@ -191,7 +184,7 @@ func init() {
 		Title:    "Bandwidth-Aware Bypass: speedup over Alloy",
 		About:    "16 rate workloads; core/bab set-dueling; paper: +5.1% average, up to +15%, no workload degraded",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBAB()}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specBAB()}, trace.RateNames())
 			t := newTable("Workload", "Speedup", "HitRate-Alloy", "HitRate-BAB")
 			var sp []float64
 			for _, name := range trace.RateNames() {
@@ -219,7 +212,7 @@ func init() {
 		Title:    "DRAM Cache Presence on top of BAB: speedup over Alloy",
 		About:    "16 rate workloads; core DCP bit in L3; paper: +4% over BAB (max +12.8% omnetpp, +11.3% gcc)",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBAB(), specBABDCP()}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specBAB(), specBABDCP()}, trace.RateNames())
 			t := newTable("Workload", "BAB", "BAB+DCP")
 			var a, b []float64
 			for _, name := range trace.RateNames() {
@@ -251,7 +244,7 @@ func init() {
 		Title:    "Neighboring Tag Cache on top of BAB+DCP: speedup over Alloy",
 		About:    "16 rate workloads; core/ntc; paper: +2% over BAB+DCP, plus miss-latency reduction via squashed parallel accesses",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBAB(), specBABDCP(), specBEAR}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specBAB(), specBABDCP(), specBEAR}, trace.RateNames())
 			t := newTable("Workload", "BAB", "BAB+DCP", "BAB+DCP+NTC")
 			var a, b, c []float64
 			for _, name := range trace.RateNames() {
@@ -287,14 +280,14 @@ func init() {
 		Title:    "Alloy vs BEAR vs BW-Opt across all workloads (RATE / MIX / ALL)",
 		About:    "16 rate + MIX workloads; all modules; paper: BEAR +10.1%, BW-Opt +22% over Alloy",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBEAR, specBWOpt}, trace.RateNames())
-			r.PrefetchMixWS([]spec{specAlloy, specBEAR, specBWOpt}, p.Mixes)
+			r.PrefetchRate([]UnitSpec{specAlloy, specBEAR, specBWOpt}, trace.RateNames())
+			r.PrefetchMixWS([]UnitSpec{specAlloy, specBEAR, specBWOpt}, p.Mixes)
 			t := newTable("Workload", "Alloy", "BEAR", "BW-Opt")
-			perBear, _, err := r.rateSpeedups(specBEAR, specAlloy)
+			perBear, _, err := r.rateSpeedups(specBEAR, specAlloy, trace.RateNames())
 			if err != nil {
 				return err
 			}
-			perOpt, _, err := r.rateSpeedups(specBWOpt, specAlloy)
+			perOpt, _, err := r.rateSpeedups(specBWOpt, specAlloy, trace.RateNames())
 			if err != nil {
 				return err
 			}
@@ -336,13 +329,13 @@ func init() {
 		Title:    "DRAM-cache hit rate and latencies: Alloy vs BEAR",
 		About:    "16 rate workloads aggregate; paper: 63.2%->61.0% hit rate, 239->182 hit latency, 391->356 miss latency",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBEAR}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specBEAR}, trace.RateNames())
 			t := newTable("Design", "HitRate", "HitLat", "MissLat", "AvgLat")
 			for _, d := range []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{{"Alloy", specAlloy}, {"BEAR", specBEAR}} {
-				a, err := aggRate(r, d.s)
+				a, err := aggRate(r, d.s, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -362,7 +355,7 @@ func init() {
 		Run: func(p Params, w io.Writer, r *Runner) error {
 			schemes := []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{
 				{"(a) Alloy", specAlloy},
 				{"(b) BAB", specBAB()},
@@ -370,7 +363,7 @@ func init() {
 				{"(d) BEAR", specBEAR},
 				{"(e) BW-Opt", specBWOpt},
 			}
-			all := make([]spec, len(schemes))
+			all := make([]UnitSpec, len(schemes))
 			for i, sch := range schemes {
 				all[i] = sch.s
 			}
@@ -382,7 +375,7 @@ func init() {
 				for _, sch := range schemes {
 					var a aggregate
 					if group == "RATE" || group == "ALL" {
-						ar, err := aggRate(r, sch.s)
+						ar, err := aggRate(r, sch.s, trace.RateNames())
 						if err != nil {
 							return err
 						}
@@ -422,15 +415,15 @@ func init() {
 		Title:    "Sensitivity to DRAM-cache bandwidth (4x/8x/16x) and capacity (0.5/1/2 GB)",
 		About:    "16 rate workloads per point; BEAR normalized to Alloy at each configuration; paper: >10% everywhere",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			var variants []spec
+			var variants []UnitSpec
 			for _, ch := range []int{2, 4, 8} {
 				al, be := specAlloy, specBEAR
-				al.channels, be.channels = ch, ch
+				al.L4Channels, be.L4Channels = ch, ch
 				variants = append(variants, al, be)
 			}
 			for _, mb := range []int64{512, 1024, 2048} {
 				al, be := specAlloy, specBEAR
-				al.capacityMB, be.capacityMB = mb, mb
+				al.CapacityMB, be.CapacityMB = mb, mb
 				variants = append(variants, al, be)
 			}
 			r.PrefetchRate(variants, trace.RateNames())
@@ -438,8 +431,8 @@ func init() {
 			ta := newTable("L4-Bandwidth", "Channels", "BEAR-vs-Alloy")
 			for _, ch := range []int{2, 4, 8} {
 				al, be := specAlloy, specBEAR
-				al.channels, be.channels = ch, ch
-				_, g, err := r.rateSpeedups(be, al)
+				al.L4Channels, be.L4Channels = ch, ch
+				_, g, err := r.rateSpeedups(be, al, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -451,8 +444,8 @@ func init() {
 			tb := newTable("Capacity", "BEAR-vs-Alloy")
 			for _, mb := range []int64{512, 1024, 2048} {
 				al, be := specAlloy, specBEAR
-				al.capacityMB, be.capacityMB = mb, mb
-				_, g, err := r.rateSpeedups(be, al)
+				al.CapacityMB, be.CapacityMB = mb, mb
+				_, g, err := r.rateSpeedups(be, al, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -469,18 +462,18 @@ func init() {
 		Title:    "Sensitivity to DRAM banks (64..2048 total)",
 		About:    "16 rate workloads per point; paper: +11% at 64 banks flattening to +6% at >=512 (bus contention component)",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			var variants []spec
+			var variants []UnitSpec
 			for _, per := range []int{16, 32, 64, 128, 256, 512} {
 				al, be := specAlloy, specBEAR
-				al.banks, be.banks = per, per
+				al.L4Banks, be.L4Banks = per, per
 				variants = append(variants, al, be)
 			}
 			r.PrefetchRate(variants, trace.RateNames())
 			t := newTable("TotalBanks", "PerChannel", "BEAR-vs-Alloy")
 			for _, per := range []int{16, 32, 64, 128, 256, 512} {
 				al, be := specAlloy, specBEAR
-				al.banks, be.banks = per, per
-				_, g, err := r.rateSpeedups(be, al)
+				al.L4Banks, be.L4Banks = per, per
+				_, g, err := r.rateSpeedups(be, al, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -497,17 +490,17 @@ func init() {
 		Title:    "Tags-In-SRAM (64MB) and Sector Cache (6MB) vs Alloy and BEAR",
 		About:    "16 rate workloads; dramcache/{tis,sector}; paper: BEAR +10.1% > TIS +7.5% > Alloy > SC -18%",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy, specBEAR, specTIS, specSC}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy, specBEAR, specTIS, specSC}, trace.RateNames())
 			t := newTable("Design", "HitRate", "HitLat", "MissLat", "BloatFactor", "Speedup-vs-Alloy")
 			for _, d := range []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{{"Alloy", specAlloy}, {"BEAR", specBEAR}, {"TIS", specTIS}, {"SC", specSC}} {
-				a, err := aggRate(r, d.s)
+				a, err := aggRate(r, d.s, trace.RateNames())
 				if err != nil {
 					return err
 				}
-				_, g, err := r.rateSpeedups(d.s, specAlloy)
+				_, g, err := r.rateSpeedups(d.s, specAlloy, trace.RateNames())
 				if err != nil {
 					return err
 				}
@@ -526,13 +519,13 @@ func init() {
 		Title:    "DRAM-cache designs vs no-DRAM-cache: LH, MC, Alloy, Incl-Alloy, BEAR",
 		About:    "RATE/MIX/ALL geomeans over no-L4 baseline; paper: 1.27 / 1.30 / 1.46 / 1.55 / 1.66",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			designs := []spec{specNoL4, specLH, specMC, specAlloy, specIncl, specBEAR}
+			designs := []UnitSpec{specNoL4, specLH, specMC, specAlloy, specIncl, specBEAR}
 			r.PrefetchRate(designs, trace.RateNames())
 			r.PrefetchMixWS(designs, p.Mixes)
 			t := newTable("Design", "RATE", "MIX", "ALL")
 			for _, d := range []struct {
 				name string
-				s    spec
+				s    UnitSpec
 			}{
 				{"LH", specLH}, {"MC", specMC}, {"Alloy", specAlloy},
 				{"Incl-Alloy", specIncl}, {"BEAR", specBEAR},
@@ -554,7 +547,7 @@ func init() {
 		Title:    "Workload characteristics: target vs measured L3 MPKI",
 		About:    "Validates the synthetic SPEC substitutes against Table 2",
 		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]spec{specAlloy}, trace.RateNames())
+			r.PrefetchRate([]UnitSpec{specAlloy}, trace.RateNames())
 			t := newTable("Workload", "TargetMPKI", "MeasuredMPKI", "Footprint", "Class", "L4HitRate")
 			for _, b := range trace.Catalog {
 				run, err := r.Rate(specAlloy, b.Name)

@@ -20,14 +20,12 @@ func (panicSource) Next(op *trace.Op) {
 	panic(fault.Invariantf("trace", "injected fault"))
 }
 
-func boomWorkload(cores int) func() (trace.Workload, error) {
-	return func() (trace.Workload, error) {
-		srcs := make([]trace.Source, cores)
-		for i := range srcs {
-			srcs[i] = panicSource{}
-		}
-		return trace.Workload{Name: "boom", Sources: srcs}, nil
+func boomWorkload(cores int) *trace.Workload {
+	srcs := make([]trace.Source, cores)
+	for i := range srcs {
+		srcs[i] = panicSource{}
 	}
+	return &trace.Workload{Name: "boom", Sources: srcs}
 }
 
 // TestRunnerSurvivesPanic pins the fault-isolation contract: a panicking
@@ -40,12 +38,15 @@ func TestRunnerSurvivesPanic(t *testing.T) {
 	cores := config.Default(p.Scale).Core.Count
 
 	good := r.RateAsync(specAlloy, "soplex")
-	bad := Future{r.start(specAlloy, "boom", boomWorkload(cores))}
+	bad, err := r.async(UnitSpec{Design: "Alloy", Workload: "boom"}, boomWorkload(cores))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := good.Wait(); err != nil {
 		t.Fatalf("healthy unit failed alongside the faulty one: %v", err)
 	}
-	_, err := bad.Wait()
+	_, err = bad.Wait()
 	var se *SimError
 	if !errors.As(err, &se) {
 		t.Fatalf("faulty unit returned %v, want *SimError", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bear/internal/stats"
+	"bear/internal/trace"
 )
 
 // runExperiment executes one experiment on a fresh runner with the given
@@ -82,7 +83,7 @@ func TestDeterminismMixWS(t *testing.T) {
 	}
 }
 
-// TestSingleflightDedup hammers one (spec, workload) pair from many
+// TestSingleflightDedup hammers one unit from many
 // goroutines: every caller must get the same memoised result and the
 // simulation must execute exactly once.
 func TestSingleflightDedup(t *testing.T) {
@@ -123,7 +124,7 @@ func TestProgressLineAtomic(t *testing.T) {
 	r.Parallel = 8
 	var buf safeBuffer
 	r.Log = &buf
-	if _, err := aggRate(r, specAlloy); err != nil {
+	if _, err := aggRate(r, specAlloy, trace.RateNames()); err != nil {
 		t.Fatal(err)
 	}
 	out := strings.TrimSuffix(buf.String(), "\n")

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -222,8 +223,9 @@ func TestStoreIngest(t *testing.T) {
 // TestUnitSpecKeysMatchRunner pins the interoperability contract: the key
 // a UnitSpec computes is the key the Runner's own store writes, so a
 // bearserve-populated store resumes a bearbench (or bearsim) sweep. Every
-// design alias resolves, and a unit without overrides keeps the exact key
-// stores written before overrides existed hold.
+// design alias resolves, and the pinned keys are the exact keys stores
+// have always held (captured before UnitSpec became the memo key), so no
+// existing store is re-keyed.
 func TestUnitSpecKeysMatchRunner(t *testing.T) {
 	const alloyKey = "{design:1 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|soplex"
 	for _, tc := range []struct {
@@ -242,28 +244,57 @@ func TestUnitSpecKeysMatchRunner(t *testing.T) {
 		{UnitSpec{Design: "incl", Workload: "mcf"}, config.InclAlloy, false, ""},
 		{UnitSpec{Design: "Alloy", Workload: "mcf", Bypass: config.BandwidthAware, DCP: true}, config.Alloy, true, ""},
 		{UnitSpec{Design: "SC", Workload: "mcf", L4Channels: 2, CapacityMB: 512}, config.Sector, true, ""},
+		{UnitSpec{Design: "NoL4", Workload: "mcf"}, config.NoL4, false, "{design:0 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "Alloy", Workload: "mcf"}, config.Alloy, false, "{design:1 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "BEAR", Workload: "mcf"}, config.BEAR, false, "{design:2 bypass:2 prob:0.9 dcp:true ntc:true channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "BW-Opt", Workload: "mcf"}, config.BWOpt, false, "{design:3 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "LH", Workload: "mcf"}, config.LohHill, false, "{design:4 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "MC", Workload: "mcf"}, config.MostlyClean, false, "{design:5 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "Incl-Alloy", Workload: "mcf"}, config.InclAlloy, false, "{design:6 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "TIS", Workload: "mcf"}, config.TIS, false, "{design:7 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "SC", Workload: "mcf"}, config.Sector, false, "{design:8 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "Banshee", Workload: "mcf"}, config.Banshee, false, "{design:9 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "TicToc", Workload: "mcf"}, config.TicToc, false, "{design:10 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "BEAR", Workload: "mcf", NTCEntries: 16}, config.BEAR, true, "{design:2 bypass:2 prob:0.9 dcp:true ntc:true channels:0 banks:0 capacityMB:0 ntcEntries:16 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "Alloy", Workload: "mcf", Pred: config.PredPerfect}, config.Alloy, true, "{design:1 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:1 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "Alloy", Workload: "mcf", WBAllocate: true}, config.Alloy, true, "{design:1 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:true ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "Alloy", Workload: "mcf", TTC: true}, config.Alloy, true, "{design:1 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:true lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "LH", Workload: "mcf", LHDIP: true}, config.LohHill, true, "{design:4 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:true tisDIP:false}|mcf"},
+		{UnitSpec{Design: "TIS", Workload: "mcf", TISDIP: true}, config.TIS, true, "{design:7 bypass:0 prob:0.9 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:true}|mcf"},
+		{UnitSpec{Design: "Alloy", Workload: "MIX2", Bypass: config.ProbBypass, BypassProb: 0.5}, config.Alloy, true, "{design:1 bypass:1 prob:0.5 dcp:false ntc:false channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|MIX2"},
+		{UnitSpec{Design: "SC", Workload: "mcf", L4Channels: 2, L4Banks: 32, CapacityMB: 512}, config.Sector, true, "{design:8 bypass:0 prob:0.9 dcp:false ntc:false channels:2 banks:32 capacityMB:512 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|mcf"},
+		{UnitSpec{Design: "alloy", Workload: "lbm@single", Bypass: config.ProbBypass, BypassProb: 0.75, DCP: true, NTC: true}, config.Alloy, true, "{design:1 bypass:1 prob:0.75 dcp:true ntc:true channels:0 banks:0 capacityMB:0 ntcEntries:0 pred:0 wbAllocate:false ttc:false lhDIP:false tisDIP:false}|lbm@single"},
 	} {
 		u := tc.u
 		key, err := u.Key()
 		if err != nil {
 			t.Fatalf("%s: %v", u, err)
 		}
-		s, err := u.resolve()
+		canon, err := u.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.design != tc.design {
-			t.Errorf("%s resolved to %s, want %s", u, s.design, tc.design)
+		if canon.Design != tc.design.String() {
+			t.Errorf("%s resolved to %s, want %s", u, canon.Design, tc.design)
 		}
-		if want := storeKey(memoKey{s: s, wl: u.Workload}); key != want {
+		if want := canon.storeKey(); key != want {
 			t.Errorf("%s: Key=%q, runner uses %q", u, key, want)
 		}
 		if tc.key != "" && key != tc.key {
 			t.Errorf("%s: Key=%q, want the pinned %q", u, key, tc.key)
 		}
-		if plain := storeKey(memoKey{s: baseSpec(tc.design), wl: u.Workload}); (key != plain) != tc.overridden {
+		plain, err := UnitSpec{Design: tc.design.String(), Workload: u.Workload}.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (key != plain) != tc.overridden {
 			t.Errorf("%s: Key=%q against the plain design's %q, want overridden=%v", u, key, plain, tc.overridden)
 		}
+	}
+	// The new fields are omitempty: a unit that sets none of them keeps
+	// the wire form it always had.
+	if b, err := json.Marshal(UnitSpec{Design: "Alloy", Workload: "soplex"}); err != nil || string(b) != `{"design":"Alloy","workload":"soplex"}` {
+		t.Errorf("plain unit marshals to %s (%v)", b, err)
 	}
 	for alias := range unitDesigns {
 		if err := (UnitSpec{Design: alias, Workload: "mcf"}).Validate(); err != nil {
@@ -279,14 +310,31 @@ func TestUnitSpecKeysMatchRunner(t *testing.T) {
 	if err := (UnitSpec{Design: "Alloy"}).Validate(); err == nil {
 		t.Error("empty workload accepted")
 	}
-	var oe *OverrideError
-	for _, u := range []UnitSpec{
-		{Design: "BW-Opt", Workload: "mcf", DCP: true},
-		{Design: "BEAR", Workload: "mcf", Bypass: config.ProbBypass},
-		{Design: "Banshee", Workload: "mcf", NTC: true},
+	// Each override is rejected on every design whose dramcache.Build path
+	// ignores it.
+	for _, tc := range []struct {
+		u        UnitSpec
+		override string
+	}{
+		{UnitSpec{Design: "BW-Opt", Workload: "mcf", DCP: true}, "dcp"},
+		{UnitSpec{Design: "BEAR", Workload: "mcf", Bypass: config.ProbBypass}, "bypass"},
+		{UnitSpec{Design: "Banshee", Workload: "mcf", NTC: true}, "ntc"},
+		{UnitSpec{Design: "TIS", Workload: "mcf", LHDIP: true}, "lh_dip"},
+		{UnitSpec{Design: "MC", Workload: "mcf", LHDIP: true}, "lh_dip"},
+		{UnitSpec{Design: "LH", Workload: "mcf", TISDIP: true}, "tis_dip"},
+		{UnitSpec{Design: "SC", Workload: "mcf", TISDIP: true}, "tis_dip"},
+		{UnitSpec{Design: "BW-Opt", Workload: "mcf", Pred: config.PredPerfect}, "pred"},
+		{UnitSpec{Design: "LH", Workload: "mcf", Pred: config.PredAlwaysHit}, "pred"},
+		{UnitSpec{Design: "BW-Opt", Workload: "mcf", WBAllocate: true}, "wb_allocate"},
+		{UnitSpec{Design: "TicToc", Workload: "mcf", WBAllocate: true}, "wb_allocate"},
+		{UnitSpec{Design: "BW-Opt", Workload: "mcf", TTC: true}, "ttc"},
+		{UnitSpec{Design: "Banshee", Workload: "mcf", TTC: true}, "ttc"},
+		{UnitSpec{Design: "Alloy", Workload: "mcf", NTCEntries: 16}, "ntc_entries"},
+		{UnitSpec{Design: "NoL4", Workload: "mcf", NTCEntries: 16}, "ntc_entries"},
 	} {
-		if err := u.Validate(); !errors.As(err, &oe) {
-			t.Errorf("%s with an Alloy-only override: err = %v, want *OverrideError", u, err)
+		var oe *OverrideError
+		if err := tc.u.Validate(); !errors.As(err, &oe) || oe.Override != tc.override {
+			t.Errorf("%+v: err = %v, want *OverrideError for %s", tc.u, err, tc.override)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestStoreResume(t *testing.T) {
 		r := NewRunner(p)
 		r.Store = st
 		var buf bytes.Buffer
-		for _, s := range []spec{specAlloy, specBEAR} {
+		for _, s := range []UnitSpec{specAlloy, specBEAR} {
 			for _, name := range []string{"soplex", "libq"} {
 				res, err := r.Rate(s, name)
 				if err != nil {
