@@ -19,38 +19,24 @@ import (
 )
 
 func init() {
+	designs := []variant{
+		{"Alloy", specAlloy, specAlloy},
+		{"BEAR", specBEAR, specAlloy},
+		{"Banshee", specBanshee, specAlloy},
+		{"TicToc", specTicToc, specAlloy},
+	}
 	register(Experiment{
 		ID:       "xgran",
 		Artifact: "Cross-paper",
 		Title:    "Granularity axis: line-grained Alloy/BEAR vs page-grained Banshee/TicToc",
 		About:    "16 rate workloads; dramcache/{alloy,page,banshee,tictoc}; bloat decomposition plus speedup over Alloy",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			designs := []struct {
-				name string
-				s    UnitSpec
-			}{
-				{"Alloy", specAlloy},
-				{"BEAR", specBEAR},
-				{"Banshee", specBanshee},
-				{"TicToc", specTicToc},
-			}
-			all := make([]UnitSpec, len(designs))
-			for i, d := range designs {
-				all[i] = d.s
-			}
-			r.PrefetchRate(all, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specsOf(designs)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Design", "HitRate", "Hit", "MissProbe", "MissFill", "VictimRd", "WBProbe", "WBUpdate", "Total", "Speedup-vs-Alloy")
-			for _, d := range designs {
-				a, err := aggRate(r, d.s, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				_, g, err := r.rateSpeedups(d.s, specAlloy, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				l := &a.l4
-				t.row(d.name, pct(l.HitRate()),
+			for _, v := range designs {
+				l := aggRate(res, v.s, trace.RateNames())
+				_, g := rateSpeedups(res, v.s, v.base, trace.RateNames())
+				t.row(v.name, pct(l.HitRate()),
 					f2(l.CategoryFactor(stats.HitProbe)), f2(l.CategoryFactor(stats.MissProbe)),
 					f2(l.CategoryFactor(stats.MissFill)), f2(l.CategoryFactor(stats.VictimRead)),
 					f2(l.CategoryFactor(stats.WBProbe)), f2(l.CategoryFactor(stats.WBUpdate)),

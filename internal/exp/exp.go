@@ -3,14 +3,17 @@
 // simulations. cmd/bearbench and the repository's bench harness drive this
 // registry.
 //
-// Every simulation is independent and deterministic (seeded RNG, totally
-// ordered event queue), so the Runner executes them on a bounded worker
-// pool: experiments launch futures for the units they need and collect
-// results in a fixed order, which makes parallel and serial sweeps
-// byte-identical.
+// An experiment is declarative: Units lists the simulations its artifact
+// reads, and Render is arithmetic over their results. Experiment.Run
+// starts every declared unit on the Runner's bounded worker pool, waits
+// for all of them, and only then renders. Every simulation is independent
+// and deterministic (seeded RNG, totally ordered event queue), and Render
+// never sees how the units were scheduled, so parallel and serial sweeps
+// are byte-identical.
 package exp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +73,80 @@ type Experiment struct {
 	Title    string
 	Artifact string // "Figure 3", "Table 4", ...
 	About    string // workloads, parameters and modules exercised
-	Run      func(p Params, w io.Writer, r *Runner) error
+
+	// Units lists every simulation Render reads. It is nil for artifacts
+	// computed from the configuration alone.
+	Units func(p Params) []UnitSpec
+	// Render writes the artifact from the declared units' results; it
+	// runs no simulation. Reading a unit Units did not declare fails the
+	// experiment with *UndeclaredUnitError.
+	Render func(p Params, res Results, w io.Writer) error
+}
+
+// Run simulates every unit the experiment declares on r, waits for all of
+// them, and renders the artifact into w. If a unit fails, Run returns the
+// first failure in declared order and writes nothing: w receives the
+// artifact only once it has rendered whole.
+func (e Experiment) Run(p Params, w io.Writer, r *Runner) error {
+	var units []UnitSpec
+	if e.Units != nil {
+		units = e.Units(p)
+	}
+	res, err := r.collect(e.ID, units)
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := e.render(p, res, &buf); err != nil {
+		return err
+	}
+	_, err = w.Write(buf.Bytes())
+	return err
+}
+
+// render calls Render, returning a read of an undeclared unit as its
+// error. Any other panic is not the render's to classify.
+func (e Experiment) render(p Params, res Results, w io.Writer) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			ue, ok := v.(*UndeclaredUnitError)
+			if !ok {
+				panic(v)
+			}
+			err = ue
+		}
+	}()
+	return e.Render(p, res, w)
+}
+
+// Results holds the runs of an experiment's declared units, keyed by
+// canonical unit. Get is its only accessor.
+type Results struct {
+	exp  string
+	runs map[UnitSpec]*stats.Run
+}
+
+// Get returns the run of unit u. A unit the experiment did not declare
+// panics with *UndeclaredUnitError, which Experiment.Run returns as the
+// experiment's error.
+func (res Results) Get(u UnitSpec) *stats.Run {
+	if key, err := u.resolve(); err == nil {
+		if run, ok := res.runs[key]; ok {
+			return run
+		}
+	}
+	panic(&UndeclaredUnitError{Experiment: res.exp, Unit: u})
+}
+
+// UndeclaredUnitError reports a render reading a unit its experiment's
+// Units did not declare.
+type UndeclaredUnitError struct {
+	Experiment string
+	Unit       UnitSpec
+}
+
+func (e *UndeclaredUnitError) Error() string {
+	return fmt.Sprintf("exp: %s reads unit %+v, which its Units does not declare", e.Experiment, e.Unit)
 }
 
 var (
@@ -154,10 +230,6 @@ type Runner struct {
 	// makes interrupted sweeps resumable. Set before the first request.
 	Store *Store
 
-	// cores is the core count every workload is generated for:
-	// config.Default's, which no unit overrides.
-	cores int
-
 	mu          sync.Mutex
 	memo        map[UnitSpec]*task // keyed by canonical unit
 	sem         chan struct{}      // worker slots, sized from Parallel on first use
@@ -176,7 +248,6 @@ func NewRunner(p Params) *Runner {
 	return &Runner{
 		p:        p,
 		Parallel: runtime.GOMAXPROCS(0),
-		cores:    config.Default(p.Scale).Core.Count,
 		memo:     make(map[UnitSpec]*task),
 		failures: make(map[UnitSpec]Failure),
 	}
@@ -339,203 +410,179 @@ func (r *Runner) simulate(wlName string, sys config.System, loaded *trace.Worklo
 	return res, nil
 }
 
-// future starts (or joins) one of the experiments' own units. They
-// are valid by construction, so a build error — a bad Params.Scale —
-// fails the future rather than the call.
-func (r *Runner) future(u UnitSpec) Future {
-	f, err := r.UnitAsync(u)
-	if err != nil {
-		return Future{failed(err)}
-	}
-	return f
-}
+// cores is the core count every workload is generated for:
+// config.Default's, which no unit overrides.
+func cores(p Params) int { return config.Default(p.Scale).Core.Count }
 
-// RateAsync starts (or joins) the rate-mode simulation of a benchmark
-// under u and returns a future for its result.
-func (r *Runner) RateAsync(u UnitSpec, bench string) Future {
-	u.Workload = bench
-	return r.future(u)
-}
-
-// MixAsync starts (or joins) mixed workload n and returns a future.
-func (r *Runner) MixAsync(u UnitSpec, n int) Future {
-	u.Workload = fmt.Sprintf("MIX%d", n)
-	return r.future(u)
-}
-
-// SingleAsync starts (or joins) a benchmark alone on one core, for
-// Equation 2's single-program IPC denominators.
-func (r *Runner) SingleAsync(u UnitSpec, bench string) Future {
-	u.Workload = bench + "@single"
-	return r.future(u)
-}
-
-// Rate runs (or recalls) the rate-mode workload for a benchmark.
-func (r *Runner) Rate(u UnitSpec, bench string) (*stats.Run, error) {
-	return r.RateAsync(u, bench).Wait()
-}
-
-// Mix runs (or recalls) mixed workload n.
-func (r *Runner) Mix(u UnitSpec, n int) (*stats.Run, error) {
-	return r.MixAsync(u, n).Wait()
-}
-
-// Single runs (or recalls) a benchmark alone on one core.
-func (r *Runner) Single(u UnitSpec, bench string) (*stats.Run, error) {
-	return r.SingleAsync(u, bench).Wait()
-}
-
-// PrefetchRate fans the full (unit, workload) cross product out to the
-// worker pool without waiting. Experiments call it up front so that the
-// sequential result-collection loops that follow find every simulation
-// already running (or memoised).
-func (r *Runner) PrefetchRate(units []UnitSpec, names []string) {
-	for _, u := range units {
-		for _, name := range names {
-			r.RateAsync(u, name)
-		}
-	}
-}
-
-// PrefetchMix fans the first n mixed workloads out for each unit.
-func (r *Runner) PrefetchMix(units []UnitSpec, n int) {
-	for _, u := range units {
-		for m := 1; m <= n; m++ {
-			r.MixAsync(u, m)
-		}
-	}
-}
-
-// PrefetchMixWS additionally starts the single-program runs Equation 2
-// needs for weighted speedups of the first n mixes.
-func (r *Runner) PrefetchMixWS(units []UnitSpec, n int) {
-	r.PrefetchMix(units, n)
-	for m := 1; m <= n; m++ {
-		wl, err := trace.Mix(m, r.cores, r.p.Scale, r.p.Seed)
+// collect starts every unit on the worker pool, waits for all of them,
+// and returns their runs for an experiment's render, or the first failure
+// in units order.
+func (r *Runner) collect(id string, units []UnitSpec) (Results, error) {
+	keys := make([]UnitSpec, len(units))
+	tasks := make([]*task, len(units))
+	for i, u := range units {
+		key, sys, err := u.build(r.p)
 		if err != nil {
-			continue // surfaced by the collection phase
+			tasks[i] = failed(err)
+			continue
 		}
-		for _, u := range units {
-			for _, b := range wl.Benchs {
-				r.SingleAsync(u, b.Name)
+		keys[i], tasks[i] = key, r.start(key, sys, nil)
+	}
+	res := Results{exp: id, runs: make(map[UnitSpec]*stats.Run, len(units))}
+	var first error
+	for i, t := range tasks {
+		<-t.done
+		if t.err != nil {
+			if first == nil {
+				first = t.err
+			}
+			continue
+		}
+		res.runs[keys[i]] = t.res
+	}
+	return res, first
+}
+
+// on returns the unit with its workload set to name.
+func (u UnitSpec) on(name string) UnitSpec {
+	u.Workload = name
+	return u
+}
+
+// mixName names mixed workload m in the Runner's vocabulary.
+func mixName(m int) string { return fmt.Sprintf("MIX%d", m) }
+
+// mixBenchs lists mixed workload m's benchmarks, one per core. A mix that
+// cannot be built lists none; its own MIX unit then fails the experiment
+// before anything renders.
+func mixBenchs(p Params, m int) []trace.Benchmark {
+	wl, err := trace.Mix(m, cores(p), p.Scale, p.Seed)
+	if err != nil {
+		return nil
+	}
+	return wl.Benchs
+}
+
+// rateUnits runs each spec on each named rate workload.
+func rateUnits(names []string, specs ...UnitSpec) []UnitSpec {
+	var units []UnitSpec
+	for _, s := range specs {
+		for _, name := range names {
+			units = append(units, s.on(name))
+		}
+	}
+	return units
+}
+
+// mixUnits runs each spec on the first p.Mixes mixed workloads.
+func mixUnits(p Params, specs ...UnitSpec) []UnitSpec {
+	var units []UnitSpec
+	for _, s := range specs {
+		for m := 1; m <= p.Mixes; m++ {
+			units = append(units, s.on(mixName(m)))
+		}
+	}
+	return units
+}
+
+// mixWSUnits adds to mixUnits the single-program runs Equation 2 needs for
+// the mixes' weighted speedups.
+func mixWSUnits(p Params, specs ...UnitSpec) []UnitSpec {
+	units := mixUnits(p, specs...)
+	for m := 1; m <= p.Mixes; m++ {
+		for _, b := range mixBenchs(p, m) {
+			for _, s := range specs {
+				units = append(units, s.on(b.Name+"@single"))
 			}
 		}
 	}
+	return units
 }
 
-// aggregate combines runs byte-weighted for bandwidth metrics.
-type aggregate struct {
-	l4 stats.L4
+// allUnits is every unit allGeomean reads for each spec.
+func allUnits(p Params, specs ...UnitSpec) []UnitSpec {
+	return append(rateUnits(trace.RateNames(), specs...), mixWSUnits(p, specs...)...)
 }
 
-func (a *aggregate) add(r *stats.Run) {
-	src := &r.L4
-	for i := range a.l4.Bytes {
-		a.l4.Bytes[i] += src.Bytes[i]
+// addL4 folds src's counters into the byte-weighted aggregate a.
+func addL4(a, src *stats.L4) {
+	for i := range a.Bytes {
+		a.Bytes[i] += src.Bytes[i]
 	}
-	a.l4.ReadHits += src.ReadHits
-	a.l4.ReadMisses += src.ReadMisses
-	a.l4.WBHits += src.WBHits
-	a.l4.WBMisses += src.WBMisses
-	a.l4.HitLatSum += src.HitLatSum
-	a.l4.MissLatSum += src.MissLatSum
-	a.l4.Fills += src.Fills
-	a.l4.Bypasses += src.Bypasses
+	a.ReadHits += src.ReadHits
+	a.ReadMisses += src.ReadMisses
+	a.WBHits += src.WBHits
+	a.WBMisses += src.WBMisses
+	a.HitLatSum += src.HitLatSum
+	a.MissLatSum += src.MissLatSum
+	a.Fills += src.Fills
+	a.Bypasses += src.Bypasses
+}
+
+// aggRate byte-weight-aggregates the named rate workloads under one unit,
+// folded in names order.
+func aggRate(res Results, s UnitSpec, names []string) stats.L4 {
+	var a stats.L4
+	for _, name := range names {
+		addL4(&a, &res.Get(s.on(name)).L4)
+	}
+	return a
+}
+
+// aggMix aggregates the first p.Mixes mixes.
+func aggMix(p Params, res Results, s UnitSpec) stats.L4 {
+	var a stats.L4
+	for m := 1; m <= p.Mixes; m++ {
+		addL4(&a, &res.Get(s.on(mixName(m))).L4)
+	}
+	return a
 }
 
 // rateSpeedups returns the speedups of s over base on the named rate
-// workloads, plus their geometric mean. Both sweeps run concurrently;
-// results are folded in names order so the output is independent of
-// Parallel.
-func (r *Runner) rateSpeedups(s, base UnitSpec, names []string) (map[string]float64, float64, error) {
-	bases := make([]Future, len(names))
-	vs := make([]Future, len(names))
-	for i, name := range names {
-		bases[i] = r.RateAsync(base, name)
-		vs[i] = r.RateAsync(s, name)
-	}
+// workloads, plus their geometric mean folded in names order.
+func rateSpeedups(res Results, s, base UnitSpec, names []string) (map[string]float64, float64) {
 	per := map[string]float64{}
 	var all []float64
-	for i, name := range names {
-		b, err := bases[i].Wait()
-		if err != nil {
-			return nil, 0, err
-		}
-		v, err := vs[i].Wait()
-		if err != nil {
-			return nil, 0, err
-		}
-		sp := v.Speedup(b)
+	for _, name := range names {
+		sp := res.Get(s.on(name)).Speedup(res.Get(base.on(name)))
 		per[name] = sp
 		all = append(all, sp)
 	}
-	return per, stats.GeoMean(all), nil
+	return per, stats.GeoMean(all)
 }
 
 // mixNormWS returns normalized weighted speedups of s over base for the
-// first n mixes, plus the geometric mean. Weighted speedup uses Equation 2
-// with single-program IPCs measured per design.
-func (r *Runner) mixNormWS(s, base UnitSpec, n int) (map[string]float64, float64, error) {
-	r.PrefetchMixWS([]UnitSpec{base, s}, n)
-	singles := func(sp UnitSpec, benchs []trace.Benchmark) ([]float64, error) {
+// first p.Mixes mixes, plus the geometric mean. Weighted speedup uses
+// Equation 2 with single-program IPCs measured per design.
+func mixNormWS(p Params, res Results, s, base UnitSpec) (map[string]float64, float64) {
+	singles := func(sp UnitSpec, benchs []trace.Benchmark) []float64 {
 		out := make([]float64, len(benchs))
 		for i, b := range benchs {
-			run, err := r.Single(sp, b.Name)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = run.CoreIPC[0]
+			out[i] = res.Get(sp.on(b.Name + "@single")).CoreIPC[0]
 		}
-		return out, nil
+		return out
 	}
 	per := map[string]float64{}
 	var all []float64
-	for m := 1; m <= n; m++ {
-		wl, err := trace.Mix(m, r.cores, r.p.Scale, r.p.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		bRun, err := r.Mix(base, m)
-		if err != nil {
-			return nil, 0, err
-		}
-		vRun, err := r.Mix(s, m)
-		if err != nil {
-			return nil, 0, err
-		}
-		bSingles, err := singles(base, wl.Benchs)
-		if err != nil {
-			return nil, 0, err
-		}
-		vSingles, err := singles(s, wl.Benchs)
-		if err != nil {
-			return nil, 0, err
-		}
-		bWS := bRun.WeightedSpeedup(bSingles)
-		vWS := vRun.WeightedSpeedup(vSingles)
+	for m := 1; m <= p.Mixes; m++ {
+		benchs := mixBenchs(p, m)
+		bWS := res.Get(base.on(mixName(m))).WeightedSpeedup(singles(base, benchs))
+		vWS := res.Get(s.on(mixName(m))).WeightedSpeedup(singles(s, benchs))
 		if bWS <= 0 {
 			continue
 		}
 		norm := vWS / bWS
-		per[wl.Name] = norm
+		per[mixName(m)] = norm
 		all = append(all, norm)
 	}
-	return per, stats.GeoMean(all), nil
+	return per, stats.GeoMean(all)
 }
 
 // allGeomean merges rate and mix relative performance into the paper's
 // RATE / MIX / ALL triple.
-func (r *Runner) allGeomean(s, base UnitSpec) (rate, mix, all float64, err error) {
-	// Start the mix/single sweep before blocking on the rate sweep.
-	r.PrefetchMixWS([]UnitSpec{base, s}, r.p.Mixes)
-	perRate, rateG, err := r.rateSpeedups(s, base, trace.RateNames())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	perMix, mixG, err := r.mixNormWS(s, base, r.p.Mixes)
-	if err != nil {
-		return 0, 0, 0, err
-	}
+func allGeomean(p Params, res Results, s, base UnitSpec) (rate, mix, all float64) {
+	perRate, rate := rateSpeedups(res, s, base, trace.RateNames())
+	perMix, mix := mixNormWS(p, res, s, base)
 	// Fold in a fixed order (not map order): GeoMean sums logs, and
 	// float addition order must not depend on map iteration for runs to
 	// be byte-identical.
@@ -545,10 +592,10 @@ func (r *Runner) allGeomean(s, base UnitSpec) (rate, mix, all float64, err error
 			xs = append(xs, v)
 		}
 	}
-	for m := 1; m <= r.p.Mixes; m++ {
-		if v, ok := perMix[fmt.Sprintf("MIX%d", m)]; ok {
+	for m := 1; m <= p.Mixes; m++ {
+		if v, ok := perMix[mixName(m)]; ok {
 			xs = append(xs, v)
 		}
 	}
-	return rateG, mixG, stats.GeoMean(xs), nil
+	return rate, mix, stats.GeoMean(xs)
 }

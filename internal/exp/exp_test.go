@@ -2,10 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"bear/internal/config"
+	"bear/internal/stats"
 	"bear/internal/trace"
 )
 
@@ -18,8 +22,11 @@ func TestRegistryComplete(t *testing.T) {
 	have := map[string]bool{}
 	for _, e := range All() {
 		have[e.ID] = true
-		if e.Title == "" || e.Artifact == "" || e.About == "" || e.Run == nil {
+		if e.Title == "" || e.Artifact == "" || e.About == "" || e.Render == nil {
 			t.Errorf("experiment %s is missing metadata", e.ID)
+		}
+		if (e.Units == nil) != noUnits[e.ID] {
+			t.Errorf("experiment %s: Units set = %t, want %t", e.ID, e.Units != nil, !noUnits[e.ID])
 		}
 	}
 	for _, id := range want {
@@ -41,18 +48,18 @@ func TestByID(t *testing.T) {
 func TestMemoisation(t *testing.T) {
 	p := tinyParams()
 	r := NewRunner(p)
-	if _, err := r.Rate(specAlloy, "wrf"); err != nil {
+	if _, err := r.RunUnit(specAlloy.on("wrf")); err != nil {
 		t.Fatal(err)
 	}
 	n := r.Count()
-	if _, err := r.Rate(specAlloy, "wrf"); err != nil {
+	if _, err := r.RunUnit(specAlloy.on("wrf")); err != nil {
 		t.Fatal(err)
 	}
 	if r.Count() != n {
 		t.Fatal("identical run not memoised")
 	}
 	// A different unit is a different run.
-	if _, err := r.Rate(specBEAR, "wrf"); err != nil {
+	if _, err := r.RunUnit(specBEAR.on("wrf")); err != nil {
 		t.Fatal(err)
 	}
 	if r.Count() != n+1 {
@@ -168,15 +175,94 @@ func TestTableRendering(t *testing.T) {
 
 func TestAggregateCombines(t *testing.T) {
 	p := tinyParams()
-	r := NewRunner(p)
-	a, err := aggRate(r, specAlloy, trace.RateNames())
+	res, err := NewRunner(p).collect("test", rateUnits(trace.RateNames(), specAlloy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.l4.Reads() == 0 || a.l4.TotalBytes() == 0 {
+	a := aggRate(res, specAlloy, trace.RateNames())
+	if a.Reads() == 0 || a.TotalBytes() == 0 {
 		t.Fatal("aggregate empty")
 	}
-	if bf := a.l4.BloatFactor(); bf < 1 {
+	if bf := a.BloatFactor(); bf < 1 {
 		t.Fatalf("aggregate bloat %v < 1", bf)
+	}
+}
+
+// noUnits are the artifacts computed from the configuration alone.
+var noUnits = map[string]bool{"tab1": true, "tab3": true, "tab5": true}
+
+// synthRun is a stand-in result with every counter a render reads set
+// non-zero, so renders can run without simulating.
+func synthRun(cores int) *stats.Run {
+	r := &stats.Run{Cycles: 1_000_000, Instructions: 2_000_000, CoreIPC: make([]float64, cores)}
+	for i := range r.CoreIPC {
+		r.CoreIPC[i] = 0.25
+	}
+	for c := range r.L4.Bytes {
+		r.L4.Bytes[c] = 64 << 10
+	}
+	r.L4.ReadHits, r.L4.ReadMisses = 600, 400
+	r.L4.WBHits, r.L4.WBMisses = 300, 100
+	r.L4.HitLatSum, r.L4.MissLatSum = 600*150, 400*300
+	r.L4.Fills, r.L4.Bypasses = 350, 50
+	r.L4.NTCProbesSaved, r.L4.NTCParallelSqsh = 20, 10
+	return r
+}
+
+// TestRenderReadsOnlyDeclaredUnits renders every registered experiment at
+// Quick and Default parameters from synthetic results holding exactly the
+// units it declares, without simulating anything: a render that reads an
+// undeclared unit fails here.
+func TestRenderReadsOnlyDeclaredUnits(t *testing.T) {
+	for _, e := range All() {
+		for _, p := range []Params{Quick(), Default()} {
+			var units []UnitSpec
+			if e.Units != nil {
+				units = e.Units(p)
+			}
+			if (len(units) == 0) != noUnits[e.ID] {
+				t.Errorf("%s (scale %d): declares %d units", e.ID, p.Scale, len(units))
+			}
+			res := Results{exp: e.ID, runs: map[UnitSpec]*stats.Run{}}
+			for _, u := range units {
+				key, err := u.resolve()
+				if err != nil {
+					t.Fatalf("%s: unit %+v: %v", e.ID, u, err)
+				}
+				res.runs[key] = synthRun(cores(p))
+			}
+			var buf bytes.Buffer
+			if err := e.render(p, res, &buf); err != nil {
+				t.Errorf("%s (scale %d): %v", e.ID, p.Scale, err)
+			}
+			if buf.Len() == 0 {
+				t.Errorf("%s (scale %d): empty output", e.ID, p.Scale)
+			}
+		}
+	}
+}
+
+// TestUndeclaredUnitFails: a render reading a unit its experiment did not
+// declare fails with *UndeclaredUnitError, and the experiment writes
+// nothing, not even what it rendered before the read.
+func TestUndeclaredUnitFails(t *testing.T) {
+	e := Experiment{
+		ID: "undeclared",
+		Render: func(p Params, res Results, w io.Writer) error {
+			fmt.Fprintln(w, "header")
+			res.Get(specAlloy.on("mcf"))
+			return nil
+		},
+	}
+	p := tinyParams()
+	r := NewRunner(p)
+	var buf bytes.Buffer
+	err := e.Run(p, &buf, r)
+	var ue *UndeclaredUnitError
+	if !errors.As(err, &ue) || ue.Experiment != "undeclared" || ue.Unit != specAlloy.on("mcf") {
+		t.Fatalf("Run = %v, want *UndeclaredUnitError for Alloy/mcf", err)
+	}
+	if buf.Len() != 0 || r.Count() != 0 {
+		t.Errorf("failed render wrote %q and ran %d simulations", buf.String(), r.Count())
 	}
 }

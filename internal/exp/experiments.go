@@ -10,8 +10,8 @@ import (
 	"bear/internal/trace"
 )
 
-// Named units used across experiments; the Rate/Mix/Single helpers fill
-// in the workload.
+// Named units used across experiments; UnitSpec.on fills in the
+// workload.
 var (
 	specNoL4  = UnitSpec{Design: "NoL4"}
 	specAlloy = UnitSpec{Design: "Alloy"}
@@ -40,97 +40,69 @@ func specBABDCP() UnitSpec {
 	return s
 }
 
-// aggRate byte-weight-aggregates the named rate workloads under one unit.
-// All the simulations run concurrently; the fold happens in names order.
-func aggRate(r *Runner, s UnitSpec, names []string) (*aggregate, error) {
-	futs := make([]Future, len(names))
-	for i, name := range names {
-		futs[i] = r.RateAsync(s, name)
-	}
-	var a aggregate
-	for _, f := range futs {
-		run, err := f.Wait()
-		if err != nil {
-			return nil, err
-		}
-		a.add(run)
-	}
-	return &a, nil
+// variant is one labelled row of an experiment: unit s, compared
+// against base when the row reports a speedup.
+type variant struct {
+	name    string
+	s, base UnitSpec
 }
 
-// aggMix aggregates the first n mixes.
-func aggMix(r *Runner, s UnitSpec, n int) (*aggregate, error) {
-	futs := make([]Future, n)
-	for m := 1; m <= n; m++ {
-		futs[m-1] = r.MixAsync(s, m)
-	}
-	var a aggregate
-	for _, f := range futs {
-		run, err := f.Wait()
-		if err != nil {
-			return nil, err
+// specsOf lists every unit the variants name.
+func specsOf(vs []variant) []UnitSpec {
+	var specs []UnitSpec
+	for _, v := range vs {
+		specs = append(specs, v.s)
+		if v.base != (UnitSpec{}) {
+			specs = append(specs, v.base)
 		}
-		a.add(run)
 	}
-	return &a, nil
+	return specs
+}
+
+// bloatRow renders the six-way bandwidth breakdown and its total.
+func bloatRow(t *table, name string, l *stats.L4) {
+	t.row(name,
+		f2(l.CategoryFactor(stats.HitProbe)), f2(l.CategoryFactor(stats.MissProbe)),
+		f2(l.CategoryFactor(stats.MissFill)), f2(l.CategoryFactor(stats.WBProbe)),
+		f2(l.CategoryFactor(stats.WBUpdate)), f2(l.CategoryFactor(stats.WBFill)),
+		f2(l.BloatFactor()))
 }
 
 func init() {
+	fig3 := []variant{{"LH", specLH, specNoL4}, {"Alloy", specAlloy, specNoL4}, {"BW-Opt", specBWOpt, specNoL4}}
 	register(Experiment{
 		ID:       "fig3",
 		Artifact: "Figure 3",
 		Title:    "Loh-Hill vs Alloy vs BW-Opt: Bloat Factor, hit latency, speedup over no-DRAM-cache",
 		About:    "16 rate workloads; dramcache/{lohhill,alloy} with Ideal knob; paper: bloat 7.3x/3.8x/1.0x",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specLH, specAlloy, specBWOpt, specNoL4}, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specsOf(fig3)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Design", "BloatFactor", "HitLatency", "Speedup-vs-NoL4")
-			for _, d := range []struct {
-				name string
-				s    UnitSpec
-			}{{"LH", specLH}, {"Alloy", specAlloy}, {"BW-Opt", specBWOpt}} {
-				a, err := aggRate(r, d.s, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				_, g, err := r.rateSpeedups(d.s, specNoL4, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				t.row(d.name, f2(a.l4.BloatFactor()), cyc(a.l4.AvgHitLatency()), f3(g))
+			for _, v := range fig3 {
+				a := aggRate(res, v.s, trace.RateNames())
+				_, g := rateSpeedups(res, v.s, v.base, trace.RateNames())
+				t.row(v.name, f2(a.BloatFactor()), cyc(a.AvgHitLatency()), f3(g))
 			}
 			t.write(w)
 			return nil
 		},
 	})
 
+	fig4 := []variant{{name: "Alloy", s: specAlloy}, {name: "BW-Opt", s: specBWOpt}}
 	register(Experiment{
 		ID:       "fig4",
 		Artifact: "Figure 4",
 		Title:    "Alloy bandwidth breakdown vs BW-Opt, and potential performance",
 		About:    "16 rate workloads; stats six-way breakdown; paper: Alloy 3.8x total (Hit 1.25), +22% potential",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBWOpt}, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specsOf(fig4)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Design", "Hit", "MissProbe", "MissFill", "WBProbe", "WBUpdate", "WBFill", "Total")
-			for _, d := range []struct {
-				name string
-				s    UnitSpec
-			}{{"Alloy", specAlloy}, {"BW-Opt", specBWOpt}} {
-				a, err := aggRate(r, d.s, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				l := &a.l4
-				t.row(d.name,
-					f2(l.CategoryFactor(stats.HitProbe)), f2(l.CategoryFactor(stats.MissProbe)),
-					f2(l.CategoryFactor(stats.MissFill)), f2(l.CategoryFactor(stats.WBProbe)),
-					f2(l.CategoryFactor(stats.WBUpdate)), f2(l.CategoryFactor(stats.WBFill)),
-					f2(l.BloatFactor()))
+			for _, v := range fig4 {
+				a := aggRate(res, v.s, trace.RateNames())
+				bloatRow(t, v.name, &a)
 			}
 			t.write(w)
-			_, g, err := r.rateSpeedups(specBWOpt, specAlloy, trace.RateNames())
-			if err != nil {
-				return err
-			}
+			_, g := rateSpeedups(res, specBWOpt, specAlloy, trace.RateNames())
 			fmt.Fprintf(w, "\nPotential performance (BW-Opt over Alloy, geomean): %.3f (paper: ~1.22)\n", g)
 			return nil
 		},
@@ -141,23 +113,16 @@ func init() {
 		Artifact: "Figure 5",
 		Title:    "Naive Probabilistic Bypass (P=50%, P=90%): hit latency, hit rate, speedup",
 		About:    "16 rate workloads; core/bab in naive mode; paper: -12% latency at P=90 but hit-rate losses (Gems, zeusmp) erase the gains",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specPB(0.5), specPB(0.9)}, trace.RateNames())
+		Units: func(Params) []UnitSpec {
+			return rateUnits(trace.RateNames(), specAlloy, specPB(0.5), specPB(0.9))
+		},
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Workload", "dHitLat50", "dHitLat90", "dHitRate50", "dHitRate90", "Speedup50", "Speedup90")
 			var s50s, s90s []float64
 			for _, name := range trace.RateNames() {
-				base, err := r.Rate(specAlloy, name)
-				if err != nil {
-					return err
-				}
-				p50, err := r.Rate(specPB(0.5), name)
-				if err != nil {
-					return err
-				}
-				p90, err := r.Rate(specPB(0.9), name)
-				if err != nil {
-					return err
-				}
+				base := res.Get(specAlloy.on(name))
+				p50 := res.Get(specPB(0.5).on(name))
+				p90 := res.Get(specPB(0.9).on(name))
 				latRed := func(x *stats.Run) string {
 					if base.L4.AvgHitLatency() == 0 {
 						return "-"
@@ -183,19 +148,13 @@ func init() {
 		Artifact: "Figure 7",
 		Title:    "Bandwidth-Aware Bypass: speedup over Alloy",
 		About:    "16 rate workloads; core/bab set-dueling; paper: +5.1% average, up to +15%, no workload degraded",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBAB()}, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specAlloy, specBAB()) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Workload", "Speedup", "HitRate-Alloy", "HitRate-BAB")
 			var sp []float64
 			for _, name := range trace.RateNames() {
-				base, err := r.Rate(specAlloy, name)
-				if err != nil {
-					return err
-				}
-				bab, err := r.Rate(specBAB(), name)
-				if err != nil {
-					return err
-				}
+				base := res.Get(specAlloy.on(name))
+				bab := res.Get(specBAB().on(name))
 				s := bab.Speedup(base)
 				sp = append(sp, s)
 				t.row(name, f3(s), pct(base.L4.HitRate()), pct(bab.L4.HitRate()))
@@ -211,24 +170,16 @@ func init() {
 		Artifact: "Figure 9",
 		Title:    "DRAM Cache Presence on top of BAB: speedup over Alloy",
 		About:    "16 rate workloads; core DCP bit in L3; paper: +4% over BAB (max +12.8% omnetpp, +11.3% gcc)",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBAB(), specBABDCP()}, trace.RateNames())
+		Units: func(Params) []UnitSpec {
+			return rateUnits(trace.RateNames(), specAlloy, specBAB(), specBABDCP())
+		},
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Workload", "BAB", "BAB+DCP")
 			var a, b []float64
 			for _, name := range trace.RateNames() {
-				base, err := r.Rate(specAlloy, name)
-				if err != nil {
-					return err
-				}
-				bab, err := r.Rate(specBAB(), name)
-				if err != nil {
-					return err
-				}
-				dcp, err := r.Rate(specBABDCP(), name)
-				if err != nil {
-					return err
-				}
-				sa, sb := bab.Speedup(base), dcp.Speedup(base)
+				base := res.Get(specAlloy.on(name))
+				sa := res.Get(specBAB().on(name)).Speedup(base)
+				sb := res.Get(specBABDCP().on(name)).Speedup(base)
 				a, b = append(a, sa), append(b, sb)
 				t.row(name, f3(sa), f3(sb))
 			}
@@ -243,28 +194,17 @@ func init() {
 		Artifact: "Figure 11",
 		Title:    "Neighboring Tag Cache on top of BAB+DCP: speedup over Alloy",
 		About:    "16 rate workloads; core/ntc; paper: +2% over BAB+DCP, plus miss-latency reduction via squashed parallel accesses",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBAB(), specBABDCP(), specBEAR}, trace.RateNames())
+		Units: func(Params) []UnitSpec {
+			return rateUnits(trace.RateNames(), specAlloy, specBAB(), specBABDCP(), specBEAR)
+		},
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Workload", "BAB", "BAB+DCP", "BAB+DCP+NTC")
 			var a, b, c []float64
 			for _, name := range trace.RateNames() {
-				base, err := r.Rate(specAlloy, name)
-				if err != nil {
-					return err
-				}
-				bab, err := r.Rate(specBAB(), name)
-				if err != nil {
-					return err
-				}
-				dcp, err := r.Rate(specBABDCP(), name)
-				if err != nil {
-					return err
-				}
-				ntc, err := r.Rate(specBEAR, name)
-				if err != nil {
-					return err
-				}
-				sa, sb, sc := bab.Speedup(base), dcp.Speedup(base), ntc.Speedup(base)
+				base := res.Get(specAlloy.on(name))
+				sa := res.Get(specBAB().on(name)).Speedup(base)
+				sb := res.Get(specBABDCP().on(name)).Speedup(base)
+				sc := res.Get(specBEAR.on(name)).Speedup(base)
 				a, b, c = append(a, sa), append(b, sb), append(c, sc)
 				t.row(name, f3(sa), f3(sb), f3(sc))
 			}
@@ -279,41 +219,22 @@ func init() {
 		Artifact: "Figure 12",
 		Title:    "Alloy vs BEAR vs BW-Opt across all workloads (RATE / MIX / ALL)",
 		About:    "16 rate + MIX workloads; all modules; paper: BEAR +10.1%, BW-Opt +22% over Alloy",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBEAR, specBWOpt}, trace.RateNames())
-			r.PrefetchMixWS([]UnitSpec{specAlloy, specBEAR, specBWOpt}, p.Mixes)
+		Units:    func(p Params) []UnitSpec { return allUnits(p, specAlloy, specBEAR, specBWOpt) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Workload", "Alloy", "BEAR", "BW-Opt")
-			perBear, _, err := r.rateSpeedups(specBEAR, specAlloy, trace.RateNames())
-			if err != nil {
-				return err
-			}
-			perOpt, _, err := r.rateSpeedups(specBWOpt, specAlloy, trace.RateNames())
-			if err != nil {
-				return err
-			}
+			perBear, _ := rateSpeedups(res, specBEAR, specAlloy, trace.RateNames())
+			perOpt, _ := rateSpeedups(res, specBWOpt, specAlloy, trace.RateNames())
 			for _, name := range trace.RateNames() {
 				t.row(name, "1.000", f3(perBear[name]), f3(perOpt[name]))
 			}
-			mixBear, _, err := r.mixNormWS(specBEAR, specAlloy, p.Mixes)
-			if err != nil {
-				return err
-			}
-			mixOpt, _, err := r.mixNormWS(specBWOpt, specAlloy, p.Mixes)
-			if err != nil {
-				return err
-			}
+			mixBear, _ := mixNormWS(p, res, specBEAR, specAlloy)
+			mixOpt, _ := mixNormWS(p, res, specBWOpt, specAlloy)
 			for m := 1; m <= p.Mixes; m++ {
-				name := fmt.Sprintf("MIX%d", m)
+				name := mixName(m)
 				t.row(name, "1.000", f3(mixBear[name]), f3(mixOpt[name]))
 			}
-			rateB, mixB, allB, err := r.allGeomean(specBEAR, specAlloy)
-			if err != nil {
-				return err
-			}
-			rateO, mixO, allO, err := r.allGeomean(specBWOpt, specAlloy)
-			if err != nil {
-				return err
-			}
+			rateB, mixB, allB := allGeomean(p, res, specBEAR, specAlloy)
+			rateO, mixO, allO := allGeomean(p, res, specBWOpt, specAlloy)
 			t.row("RATE", "1.000", f3(rateB), f3(rateO))
 			t.row("MIX", "1.000", f3(mixB), f3(mixO))
 			t.row("ALL", "1.000", f3(allB), f3(allO))
@@ -323,85 +244,52 @@ func init() {
 		},
 	})
 
+	tab4 := []variant{{name: "Alloy", s: specAlloy}, {name: "BEAR", s: specBEAR}}
 	register(Experiment{
 		ID:       "tab4",
 		Artifact: "Table 4",
 		Title:    "DRAM-cache hit rate and latencies: Alloy vs BEAR",
 		About:    "16 rate workloads aggregate; paper: 63.2%->61.0% hit rate, 239->182 hit latency, 391->356 miss latency",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBEAR}, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specsOf(tab4)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Design", "HitRate", "HitLat", "MissLat", "AvgLat")
-			for _, d := range []struct {
-				name string
-				s    UnitSpec
-			}{{"Alloy", specAlloy}, {"BEAR", specBEAR}} {
-				a, err := aggRate(r, d.s, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				l := &a.l4
-				t.row(d.name, pct(l.HitRate()), cyc(l.AvgHitLatency()), cyc(l.AvgMissLatency()), cyc(l.AvgLatency()))
+			for _, v := range tab4 {
+				l := aggRate(res, v.s, trace.RateNames())
+				t.row(v.name, pct(l.HitRate()), cyc(l.AvgHitLatency()), cyc(l.AvgMissLatency()), cyc(l.AvgLatency()))
 			}
 			t.write(w)
 			return nil
 		},
 	})
 
+	fig13 := []variant{
+		{name: "(a) Alloy", s: specAlloy}, {name: "(b) BAB", s: specBAB()},
+		{name: "(c) BAB+DCP", s: specBABDCP()}, {name: "(d) BEAR", s: specBEAR},
+		{name: "(e) BW-Opt", s: specBWOpt},
+	}
 	register(Experiment{
 		ID:       "fig13",
 		Artifact: "Figure 13",
 		Title:    "Bloat-factor breakdown: Alloy / BAB / BAB+DCP / BEAR / BW-Opt x RATE, MIX, ALL",
 		About:    "Byte-weighted aggregate per scheme; paper: 3.8x baseline reduced 32% by BEAR",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			schemes := []struct {
-				name string
-				s    UnitSpec
-			}{
-				{"(a) Alloy", specAlloy},
-				{"(b) BAB", specBAB()},
-				{"(c) BAB+DCP", specBABDCP()},
-				{"(d) BEAR", specBEAR},
-				{"(e) BW-Opt", specBWOpt},
-			}
-			all := make([]UnitSpec, len(schemes))
-			for i, sch := range schemes {
-				all[i] = sch.s
-			}
-			r.PrefetchRate(all, trace.RateNames())
-			r.PrefetchMix(all, p.Mixes)
+		Units: func(p Params) []UnitSpec {
+			return append(rateUnits(trace.RateNames(), specsOf(fig13)...), mixUnits(p, specsOf(fig13)...)...)
+		},
+		Render: func(p Params, res Results, w io.Writer) error {
 			for _, group := range []string{"RATE", "MIX", "ALL"} {
 				section(w, group)
 				t := newTable("Scheme", "Hit", "MissProbe", "MissFill", "WBProbe", "WBUpdate", "WBFill", "Total")
-				for _, sch := range schemes {
-					var a aggregate
-					if group == "RATE" || group == "ALL" {
-						ar, err := aggRate(r, sch.s, trace.RateNames())
-						if err != nil {
-							return err
-						}
-						a.l4 = ar.l4
+				for _, v := range fig13 {
+					var a stats.L4
+					if group != "MIX" {
+						ar := aggRate(res, v.s, trace.RateNames())
+						addL4(&a, &ar)
 					}
-					if group == "MIX" || group == "ALL" {
-						am, err := aggMix(r, sch.s, p.Mixes)
-						if err != nil {
-							return err
-						}
-						if group == "MIX" {
-							a.l4 = am.l4
-						} else {
-							for i := range a.l4.Bytes {
-								a.l4.Bytes[i] += am.l4.Bytes[i]
-							}
-							a.l4.ReadHits += am.l4.ReadHits
-							a.l4.ReadMisses += am.l4.ReadMisses
-						}
+					if group != "RATE" {
+						am := aggMix(p, res, v.s)
+						addL4(&a, &am)
 					}
-					l := &a.l4
-					t.row(sch.name,
-						f2(l.CategoryFactor(stats.HitProbe)), f2(l.CategoryFactor(stats.MissProbe)),
-						f2(l.CategoryFactor(stats.MissFill)), f2(l.CategoryFactor(stats.WBProbe)),
-						f2(l.CategoryFactor(stats.WBUpdate)), f2(l.CategoryFactor(stats.WBFill)),
-						f2(l.BloatFactor()))
+					bloatRow(t, v.name, &a)
 				}
 				t.write(w)
 			}
@@ -409,103 +297,84 @@ func init() {
 		},
 	})
 
+	var fig14BW, fig14Cap []variant
+	for _, ch := range []int{2, 4, 8} {
+		al, be := specAlloy, specBEAR
+		al.L4Channels, be.L4Channels = ch, ch
+		fig14BW = append(fig14BW, variant{fmt.Sprintf("%dx", ch*2), be, al})
+	}
+	for _, mb := range []int64{512, 1024, 2048} {
+		al, be := specAlloy, specBEAR
+		al.CapacityMB, be.CapacityMB = mb, mb
+		fig14Cap = append(fig14Cap, variant{fmt.Sprintf("%.1fGB", float64(mb)/1024), be, al})
+	}
 	register(Experiment{
 		ID:       "fig14",
 		Artifact: "Figure 14",
 		Title:    "Sensitivity to DRAM-cache bandwidth (4x/8x/16x) and capacity (0.5/1/2 GB)",
 		About:    "16 rate workloads per point; BEAR normalized to Alloy at each configuration; paper: >10% everywhere",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			var variants []UnitSpec
-			for _, ch := range []int{2, 4, 8} {
-				al, be := specAlloy, specBEAR
-				al.L4Channels, be.L4Channels = ch, ch
-				variants = append(variants, al, be)
-			}
-			for _, mb := range []int64{512, 1024, 2048} {
-				al, be := specAlloy, specBEAR
-				al.CapacityMB, be.CapacityMB = mb, mb
-				variants = append(variants, al, be)
-			}
-			r.PrefetchRate(variants, trace.RateNames())
+		Units: func(Params) []UnitSpec {
+			return rateUnits(trace.RateNames(), append(specsOf(fig14BW), specsOf(fig14Cap)...)...)
+		},
+		Render: func(p Params, res Results, w io.Writer) error {
 			section(w, "(a) Bandwidth")
 			ta := newTable("L4-Bandwidth", "Channels", "BEAR-vs-Alloy")
-			for _, ch := range []int{2, 4, 8} {
-				al, be := specAlloy, specBEAR
-				al.L4Channels, be.L4Channels = ch, ch
-				_, g, err := r.rateSpeedups(be, al, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				ta.row(fmt.Sprintf("%dx", ch*2), ch, f3(g))
+			for _, v := range fig14BW {
+				_, g := rateSpeedups(res, v.s, v.base, trace.RateNames())
+				ta.row(v.name, v.s.L4Channels, f3(g))
 			}
 			ta.write(w)
 
 			section(w, "(b) Capacity")
 			tb := newTable("Capacity", "BEAR-vs-Alloy")
-			for _, mb := range []int64{512, 1024, 2048} {
-				al, be := specAlloy, specBEAR
-				al.CapacityMB, be.CapacityMB = mb, mb
-				_, g, err := r.rateSpeedups(be, al, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				tb.row(fmt.Sprintf("%.1fGB", float64(mb)/1024), f3(g))
+			for _, v := range fig14Cap {
+				_, g := rateSpeedups(res, v.s, v.base, trace.RateNames())
+				tb.row(v.name, f3(g))
 			}
 			tb.write(w)
 			return nil
 		},
 	})
 
+	var fig15 []variant
+	for _, per := range []int{16, 32, 64, 128, 256, 512} {
+		al, be := specAlloy, specBEAR
+		al.L4Banks, be.L4Banks = per, per
+		fig15 = append(fig15, variant{fmt.Sprint(per * 4), be, al})
+	}
 	register(Experiment{
 		ID:       "fig15",
 		Artifact: "Figure 15",
 		Title:    "Sensitivity to DRAM banks (64..2048 total)",
 		About:    "16 rate workloads per point; paper: +11% at 64 banks flattening to +6% at >=512 (bus contention component)",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			var variants []UnitSpec
-			for _, per := range []int{16, 32, 64, 128, 256, 512} {
-				al, be := specAlloy, specBEAR
-				al.L4Banks, be.L4Banks = per, per
-				variants = append(variants, al, be)
-			}
-			r.PrefetchRate(variants, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specsOf(fig15)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("TotalBanks", "PerChannel", "BEAR-vs-Alloy")
-			for _, per := range []int{16, 32, 64, 128, 256, 512} {
-				al, be := specAlloy, specBEAR
-				al.L4Banks, be.L4Banks = per, per
-				_, g, err := r.rateSpeedups(be, al, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				t.row(per*4, per, f3(g))
+			for _, v := range fig15 {
+				_, g := rateSpeedups(res, v.s, v.base, trace.RateNames())
+				t.row(v.name, v.s.L4Banks, f3(g))
 			}
 			t.write(w)
 			return nil
 		},
 	})
 
+	fig16 := []variant{
+		{"Alloy", specAlloy, specAlloy}, {"BEAR", specBEAR, specAlloy},
+		{"TIS", specTIS, specAlloy}, {"SC", specSC, specAlloy},
+	}
 	register(Experiment{
 		ID:       "fig16",
 		Artifact: "Figure 16",
 		Title:    "Tags-In-SRAM (64MB) and Sector Cache (6MB) vs Alloy and BEAR",
 		About:    "16 rate workloads; dramcache/{tis,sector}; paper: BEAR +10.1% > TIS +7.5% > Alloy > SC -18%",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy, specBEAR, specTIS, specSC}, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specsOf(fig16)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Design", "HitRate", "HitLat", "MissLat", "BloatFactor", "Speedup-vs-Alloy")
-			for _, d := range []struct {
-				name string
-				s    UnitSpec
-			}{{"Alloy", specAlloy}, {"BEAR", specBEAR}, {"TIS", specTIS}, {"SC", specSC}} {
-				a, err := aggRate(r, d.s, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				_, g, err := r.rateSpeedups(d.s, specAlloy, trace.RateNames())
-				if err != nil {
-					return err
-				}
-				l := &a.l4
-				t.row(d.name, pct(l.HitRate()), cyc(l.AvgHitLatency()), cyc(l.AvgMissLatency()),
+			for _, v := range fig16 {
+				l := aggRate(res, v.s, trace.RateNames())
+				_, g := rateSpeedups(res, v.s, v.base, trace.RateNames())
+				t.row(v.name, pct(l.HitRate()), cyc(l.AvgHitLatency()), cyc(l.AvgMissLatency()),
 					f2(l.BloatFactor()), f3(g))
 			}
 			t.write(w)
@@ -513,28 +382,21 @@ func init() {
 		},
 	})
 
+	fig17 := []variant{
+		{"LH", specLH, specNoL4}, {"MC", specMC, specNoL4}, {"Alloy", specAlloy, specNoL4},
+		{"Incl-Alloy", specIncl, specNoL4}, {"BEAR", specBEAR, specNoL4},
+	}
 	register(Experiment{
 		ID:       "fig17",
 		Artifact: "Figure 17",
 		Title:    "DRAM-cache designs vs no-DRAM-cache: LH, MC, Alloy, Incl-Alloy, BEAR",
 		About:    "RATE/MIX/ALL geomeans over no-L4 baseline; paper: 1.27 / 1.30 / 1.46 / 1.55 / 1.66",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			designs := []UnitSpec{specNoL4, specLH, specMC, specAlloy, specIncl, specBEAR}
-			r.PrefetchRate(designs, trace.RateNames())
-			r.PrefetchMixWS(designs, p.Mixes)
+		Units:    func(p Params) []UnitSpec { return allUnits(p, specsOf(fig17)...) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Design", "RATE", "MIX", "ALL")
-			for _, d := range []struct {
-				name string
-				s    UnitSpec
-			}{
-				{"LH", specLH}, {"MC", specMC}, {"Alloy", specAlloy},
-				{"Incl-Alloy", specIncl}, {"BEAR", specBEAR},
-			} {
-				rate, mix, all, err := r.allGeomean(d.s, specNoL4)
-				if err != nil {
-					return err
-				}
-				t.row(d.name, f3(rate), f3(mix), f3(all))
+			for _, v := range fig17 {
+				rate, mix, all := allGeomean(p, res, v.s, v.base)
+				t.row(v.name, f3(rate), f3(mix), f3(all))
 			}
 			t.write(w)
 			return nil
@@ -546,14 +408,11 @@ func init() {
 		Artifact: "Table 2",
 		Title:    "Workload characteristics: target vs measured L3 MPKI",
 		About:    "Validates the synthetic SPEC substitutes against Table 2",
-		Run: func(p Params, w io.Writer, r *Runner) error {
-			r.PrefetchRate([]UnitSpec{specAlloy}, trace.RateNames())
+		Units:    func(Params) []UnitSpec { return rateUnits(trace.RateNames(), specAlloy) },
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Workload", "TargetMPKI", "MeasuredMPKI", "Footprint", "Class", "L4HitRate")
 			for _, b := range trace.Catalog {
-				run, err := r.Rate(specAlloy, b.Name)
-				if err != nil {
-					return err
-				}
+				run := res.Get(specAlloy.on(b.Name))
 				class := "Medium"
 				if b.HighIntensive() {
 					class = "High"
@@ -571,7 +430,7 @@ func init() {
 		Artifact: "Table 5",
 		Title:    "Storage overhead of BEAR",
 		About:    "Computed from the full-scale Table 1 geometry; paper: 19.2K bytes total",
-		Run: func(p Params, w io.Writer, r *Runner) error {
+		Render: func(p Params, res Results, w io.Writer) error {
 			sys := config.Default(1)
 			o := core.ComputeOverhead(sys.Core.Count,
 				int64(sys.L3.Bytes/sys.L3.LineBytes), sys.L4.Channels*sys.L4.Banks)

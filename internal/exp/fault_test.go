@@ -37,7 +37,10 @@ func TestRunnerSurvivesPanic(t *testing.T) {
 	r := NewRunner(p)
 	cores := config.Default(p.Scale).Core.Count
 
-	good := r.RateAsync(specAlloy, "soplex")
+	good, err := r.UnitAsync(specAlloy.on("soplex"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad, err := r.async(UnitSpec{Design: "Alloy", Workload: "boom"}, boomWorkload(cores))
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +84,10 @@ func TestRunnerWatchdogFailure(t *testing.T) {
 	p := tinyParams()
 	p.Watchdog = hier.Watchdog{MaxCycles: 1000, CheckEvery: 64}
 	r := NewRunner(p)
-	_, err := r.Rate(specAlloy, "soplex")
+	_, err := r.RunUnit(specAlloy.on("soplex"))
 	var wd *fault.WatchdogError
 	if !errors.As(err, &wd) {
-		t.Fatalf("Rate = %v, want *fault.WatchdogError", err)
+		t.Fatalf("RunUnit = %v, want *fault.WatchdogError", err)
 	}
 	if wd.Kind != fault.WatchdogCycleBudget {
 		t.Errorf("Kind = %v, want %v", wd.Kind, fault.WatchdogCycleBudget)
@@ -94,16 +97,37 @@ func TestRunnerWatchdogFailure(t *testing.T) {
 	}
 }
 
+// TestFailedExperimentWritesNothingOnWatchdogFault: an experiment whose
+// units trip the watchdog returns the typed failure and prints no partial
+// table.
+func TestFailedExperimentWritesNothingOnWatchdogFault(t *testing.T) {
+	p := tinyParams()
+	p.Watchdog = hier.Watchdog{MaxCycles: 1000, CheckEvery: 64}
+	e, err := ByID("fig13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err = e.Run(p, &buf, NewRunner(p))
+	var wd *fault.WatchdogError
+	if !errors.As(err, &wd) {
+		t.Fatalf("fig13 = %v, want *fault.WatchdogError", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("failed experiment wrote %d bytes:\n%s", buf.Len(), buf.String())
+	}
+}
+
 // TestCheckThroughRunner runs a unit with the invariant epochs enabled via
 // Params and compares against a plain run: results must be identical.
 func TestCheckThroughRunner(t *testing.T) {
 	p := tinyParams()
-	plain, err := NewRunner(p).Rate(specBEAR, "soplex")
+	plain, err := NewRunner(p).RunUnit(specBEAR.on("soplex"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Watchdog.Check = true
-	checked, err := NewRunner(p).Rate(specBEAR, "soplex")
+	checked, err := NewRunner(p).RunUnit(specBEAR.on("soplex"))
 	if err != nil {
 		t.Fatalf("healthy run tripped -check: %v", err)
 	}

@@ -48,11 +48,11 @@ func TestDeterminismSerialVsParallel(t *testing.T) {
 		}
 		// The memoised runs themselves must match value for value, not
 		// just the formatted digits.
-		s1, err := serialR.Rate(specAlloy, "mcf")
+		s1, err := serialR.RunUnit(specAlloy.on("mcf"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := parallelR.Rate(specAlloy, "mcf")
+		s2, err := parallelR.RunUnit(specAlloy.on("mcf"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func TestDeterminismMixWS(t *testing.T) {
 	for i, parallel := range []int{1, 8} {
 		r := NewRunner(p)
 		r.Parallel = parallel
-		m, g, err := r.mixNormWS(specBEAR, specAlloy, p.Mixes)
+		res, err := r.collect("test", mixWSUnits(p, specAlloy, specBEAR))
 		if err != nil {
 			t.Fatal(err)
 		}
-		per[i], geo[i] = m, g
+		per[i], geo[i] = mixNormWS(p, res, specBEAR, specAlloy)
 	}
 	if !reflect.DeepEqual(per[0], per[1]) || geo[0] != geo[1] {
 		t.Errorf("mixNormWS differs: serial=%v/%v parallel=%v/%v", per[0], geo[0], per[1], geo[1])
@@ -97,7 +97,7 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := r.Rate(specAlloy, "wrf")
+			res, err := r.RunUnit(specAlloy.on("wrf"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -124,7 +124,7 @@ func TestProgressLineAtomic(t *testing.T) {
 	r.Parallel = 8
 	var buf safeBuffer
 	r.Log = &buf
-	if _, err := aggRate(r, specAlloy, trace.RateNames()); err != nil {
+	if _, err := r.collect("test", rateUnits(trace.RateNames(), specAlloy)); err != nil {
 		t.Fatal(err)
 	}
 	out := strings.TrimSuffix(buf.String(), "\n")

@@ -346,7 +346,10 @@ func TestInterruptRefusesQueuedUnits(t *testing.T) {
 	r := NewRunner(tinyParams())
 	r.sem = make(chan struct{}, 1)
 	r.sem <- struct{}{} // the only slot is busy
-	f := r.RateAsync(specAlloy, "soplex")
+	f, err := r.UnitAsync(specAlloy.on("soplex"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.Interrupt()
 	<-r.sem
 	if _, err := f.Wait(); err != ErrInterrupted {
@@ -377,18 +380,18 @@ func TestRunnerInterrupt(t *testing.T) {
 	}
 	r := NewRunner(p)
 	r.Store = st
-	if _, err := r.Rate(specAlloy, "soplex"); err != nil {
+	if _, err := r.RunUnit(specAlloy.on("soplex")); err != nil {
 		t.Fatal(err)
 	}
 	r.Interrupt()
 	if !r.Interrupted() {
 		t.Fatal("Interrupted() false after Interrupt")
 	}
-	if _, err := r.Rate(specAlloy, "libq"); err != ErrInterrupted {
+	if _, err := r.RunUnit(specAlloy.on("libq")); err != ErrInterrupted {
 		t.Fatalf("post-interrupt unit error = %v, want ErrInterrupted", err)
 	}
 	// The pre-interrupt unit is already memoised and still served.
-	if _, err := r.Rate(specAlloy, "soplex"); err != nil {
+	if _, err := r.RunUnit(specAlloy.on("soplex")); err != nil {
 		t.Fatalf("memoised unit unavailable after interrupt: %v", err)
 	}
 	if n := len(r.Failures()); n != 0 {
@@ -397,7 +400,7 @@ func TestRunnerInterrupt(t *testing.T) {
 	// And it was checkpointed: a fresh runner restores it from the store.
 	r2 := NewRunner(p)
 	r2.Store = st
-	if _, err := r2.Rate(specAlloy, "soplex"); err != nil {
+	if _, err := r2.RunUnit(specAlloy.on("soplex")); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Restored() != 1 || r2.Count() != 0 {

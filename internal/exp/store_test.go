@@ -177,7 +177,7 @@ func TestStoreResume(t *testing.T) {
 		var buf bytes.Buffer
 		for _, s := range []UnitSpec{specAlloy, specBEAR} {
 			for _, name := range []string{"soplex", "libq"} {
-				res, err := r.Rate(s, name)
+				res, err := r.RunUnit(s.on(name))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,7 +14,7 @@ func init() {
 		Artifact: "Table 1",
 		Title:    "Baseline system configuration",
 		About:    "The simulated machine (config.Default) at full scale and at the run scale",
-		Run: func(p Params, w io.Writer, r *Runner) error {
+		Render: func(p Params, res Results, w io.Writer) error {
 			for _, sc := range []struct {
 				label string
 				scale int
@@ -44,14 +44,14 @@ func init() {
 		Artifact: "Table 3",
 		Title:    "Mixed-workload compositions and intensity classes",
 		About:    "The 8 detailed mixes plus the generated ones used for MIX aggregates",
-		Run: func(p Params, w io.Writer, r *Runner) error {
+		Render: func(p Params, res Results, w io.Writer) error {
 			t := newTable("Mix", "Class", "Workloads")
 			n := p.Mixes
 			if n < 8 {
 				n = 8
 			}
 			for m := 1; m <= n; m++ {
-				wl, err := trace.Mix(m, 8, p.Scale, p.Seed)
+				wl, err := trace.Mix(m, cores(p), p.Scale, p.Seed)
 				if err != nil {
 					return err
 				}

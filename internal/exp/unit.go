@@ -239,12 +239,12 @@ func (r *Runner) load(name string) (trace.Workload, error) {
 		if err != nil || n < 1 {
 			return trace.Workload{}, fmt.Errorf("exp: workload %s: bad mix number %q", name, rest)
 		}
-		return trace.Mix(n, r.cores, r.p.Scale, r.p.Seed)
+		return trace.Mix(n, cores(r.p), r.p.Scale, r.p.Seed)
 	}
 	if bench, ok := strings.CutSuffix(name, "@single"); ok {
-		return trace.Single(bench, r.cores, r.p.Scale, r.p.Seed)
+		return trace.Single(bench, cores(r.p), r.p.Scale, r.p.Seed)
 	}
-	return trace.Rate(name, r.cores, r.p.Scale, r.p.Seed)
+	return trace.Rate(name, cores(r.p), r.p.Scale, r.p.Seed)
 }
 
 // async starts (or joins) the unit's simulation and returns a future. The

@@ -55,26 +55,31 @@ go test -race -run 'Panic|Watchdog|Check|Store|Fingerprint|Fault|Invariant' \
 	./internal/exp ./internal/hier ./internal/fault
 
 # resume round-trip: a real bearbench sweep, interrupted only in the sense
-# that it runs twice against the same store. The second run must restore
-# every unit (zero simulations) and produce byte-identical artifacts.
-# Timing lines ("[tab4 done in ...]") legitimately differ run to run and
-# are filtered out of the comparison.
+# that it runs twice against the same store. fig12 reads rate, MIX<n> and
+# <bench>@single units, so every kind of workload goes through the store.
+# The second run must restore every unit (its done line reports zero
+# simulations) and produce byte-identical artifacts. Timing lines
+# ("[fig12 done in ...]") legitimately differ run to run and are filtered
+# out of the comparison.
 store=$(mktemp -d)
 run1=$(mktemp)
 run2=$(mktemp)
+out2=$(mktemp)
 err2=$(mktemp)
-trap 'rm -rf "$store" "$run1" "$run2" "$err2"' EXIT
-resume_args="-run tab4 -scale 1024 -warm 20000 -meas 50000 -mixes 1 -resume $store"
+trap 'rm -rf "$store" "$run1" "$run2" "$out2" "$err2"' EXIT
+resume_args="-run fig12 -scale 1024 -warm 20000 -meas 50000 -mixes 1 -resume $store"
 go run ./cmd/bearbench $resume_args | grep -v '^\[' >"$run1"
-go run ./cmd/bearbench $resume_args 2>"$err2" | grep -v '^\[' >"$run2"
+go run ./cmd/bearbench $resume_args 2>"$err2" >"$out2"
+grep -v '^\[' "$out2" >"$run2"
 cmp "$run1" "$run2"
 grep -q 'result(s) restored' "$err2"
+grep -q '^\[fig12 done in .*, 0 simulations so far\]$' "$out2"
 
 # The same round trip through bearsim, which runs its units on the same
 # Runner and keeps them in the same kind of store: the second run restores
 # every unit and prints byte-identical results.
 sstore=$(mktemp -d)
-trap 'rm -rf "$store" "$sstore" "$run1" "$run2" "$err2"' EXIT
+trap 'rm -rf "$store" "$sstore" "$run1" "$run2" "$out2" "$err2"' EXIT
 resume_args="-workload mcf,MIX1 -design Alloy,BEAR -scale 1024 -warm 20000 -meas 50000 -resume $sstore"
 go run ./cmd/bearsim $resume_args >"$run1"
 go run ./cmd/bearsim $resume_args >"$run2" 2>"$err2"
@@ -95,7 +100,7 @@ cstore=$(mktemp -d)
 fstore=$(mktemp -d)
 dstore=$(mktemp -d)
 srv=
-trap 'kill "$srv" 2>/dev/null || true; rm -rf "$store" "$sstore" "$run1" "$run2" "$err2" "$bindir" "$cstore" "$fstore" "$dstore"' EXIT
+trap 'kill "$srv" 2>/dev/null || true; rm -rf "$store" "$sstore" "$run1" "$run2" "$out2" "$err2" "$bindir" "$cstore" "$fstore" "$dstore"' EXIT
 go build -buildvcs=false -o "$bindir" ./cmd/bearbench ./cmd/bearserve
 addr=127.0.0.1:18431
 unit='{"units":[{"design":"Alloy","workload":"soplex"}]}'
